@@ -4,8 +4,8 @@ logic programs."""
 from .depgraph import SCC, ClauseSegments, build_sccs, scc_of, segment_clause
 from .fingerprint import (
     ClausePrint, GoalPrint, PredicatePrint, SCCPrint, candidate_pairs,
-    check_glb_conjecture, clauseprint, fp_closeness, goalprint, goalprint_glb,
-    goalprint_leq, predicate_print, print_glb, scc_print, scc_print_glb,
+    check_glb_conjecture, clauseprint, fp_closeness, goalprint, predicate_print,
+    print_glb, scc_print, scc_print_glb,
 )
 from .metrics import (
     GoalAlignment, MsgResult, commonality, goal_similarity,

@@ -9,7 +9,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .depgraph import segment_clause
 from .fingerprint import candidate_pairs
 from .normalize import normalize_program
 from .structure import (
@@ -138,8 +137,7 @@ def analyze(program: Program, config: Config) -> list:
             "fingerprint_estimate": [float(estimate[0]), float(estimate[1])],
             "closeness": [float(result.closeness[0]), float(result.closeness[1])],
             "sigma": result.sigma,
-            "denominators": [int(result.sigma / result.closeness[0]),
-                             int(result.sigma / result.closeness[1])],
+            "denominators": list(result.denominators),
             "approximate": result.approximate,
             "witness": _witness_json(result.witness),
             "common_core": core,
@@ -207,7 +205,7 @@ def run(config: Config):
 
 def main(argv=None) -> int:
     parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
     config = Config(
         paths=args.paths,
         threshold=args.threshold,

@@ -8,15 +8,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from .depgraph import SCC, build_sccs, segment_clause
-from .metrics import goal_similarity, msg
+from .metrics import goal_similarity, max_weight_matching, msg
 from .normalize import is_normal_atom, normalize_program
-from .syntax import (
-    EQ, Clause, Goal, Num, PredSymbol, Program, Struct, Var, rename_vars,
-)
+from .syntax import EQ, Clause, Goal, Num, PredSymbol, Program, Var
 
 
 @dataclass(frozen=True)
@@ -156,81 +151,35 @@ def scc_print(scc: SCC) -> SCCPrint:
 # Orders and greatest lower bounds
 # ---------------------------------------------------------------------------
 
-def goalprint_leq(a: GoalPrint, b: GoalPrint) -> bool:
-    return a.leq(b)
-
-
-def goalprint_glb(a: GoalPrint, b: GoalPrint) -> GoalPrint:
-    return a.glb(b)
-
-
-def _match_multisets(lefts, rights, pair_value):
-    """Max-total perfect matching between two equal-size lists, or None.
-
-    pair_value returns the retained count for a feasible pair and None
-    for an infeasible one.
-    """
+def _glb_matching(lefts, rights, glb) -> Optional[list]:
+    """Pair two print multisets of equal size so that the pairwise glbs
+    keep the most symbols; the glbs in left order, or None when the best
+    pairing needs a pair whose glb is None."""
     if len(lefts) != len(rights):
         return None
-    if not lefts:
-        return 0, []
-    weights = np.full((len(lefts), len(rights)), -1.0)
-    values = {}
-    for i, l in enumerate(lefts):
-        for j, r in enumerate(rights):
-            v = pair_value(l, r)
-            if v is not None:
-                weights[i, j] = v[0]
-                values[(i, j)] = v
-    rows, cols = linear_sum_assignment(weights, maximize=True)
-    if any(weights[i, j] < 0 for i, j in zip(rows, cols)):
+    glbs = [[glb(left, right) for right in rights] for left in lefts]
+    matching = max_weight_matching([[-1 if g is None else g.total for g in row]
+                                    for row in glbs])
+    if matching is None:
         return None
-    total = 0
-    pairs = []
-    for i, j in sorted(zip(rows, cols)):
-        v, payload = values[(i, j)]
-        total += v
-        pairs.append(payload)
-    return total, pairs
+    return [glbs[i][j] for i, j in matching]
 
 
 def print_glb(a: PredicatePrint, b: PredicatePrint) -> Optional[PredicatePrint]:
     """Greatest lower bound of two predicate prints, pairing clauseprints
     of equal segment count so that the retained symbol total is maximal;
     None when no such bijection exists."""
-
-    def pair(cp1: ClausePrint, cp2: ClausePrint):
-        g = cp1.glb(cp2)
-        if g is None:
-            return None
-        return g.total, g
-
-    matched = _match_multisets(a.prints, b.prints, pair)
-    if matched is None:
+    glbs = _glb_matching(a.prints, b.prints, ClausePrint.glb)
+    if glbs is None:
         return None
-    _, pairs = matched
-    return PredicatePrint(tuple(sorted(pairs, key=_canonical_key)))
-
-
-def predicate_print_leq(a: PredicatePrint, b: PredicatePrint) -> bool:
-    def pair(cp1: ClausePrint, cp2: ClausePrint):
-        return (1, None) if cp1.leq(cp2) else None
-
-    return _match_multisets(a.prints, b.prints, pair) is not None
+    return PredicatePrint(tuple(sorted(glbs, key=_canonical_key)))
 
 
 def scc_print_glb(a: SCCPrint, b: SCCPrint) -> Optional[SCCPrint]:
-    def pair(pp1: PredicatePrint, pp2: PredicatePrint):
-        g = print_glb(pp1, pp2)
-        if g is None:
-            return None
-        return g.total, g
-
-    matched = _match_multisets(a.prints, b.prints, pair)
-    if matched is None:
+    glbs = _glb_matching(a.prints, b.prints, print_glb)
+    if glbs is None:
         return None
-    _, pairs = matched
-    return SCCPrint(tuple(sorted(pairs, key=_pp_key)))
+    return SCCPrint(tuple(sorted(glbs, key=_pp_key)))
 
 
 def fp_closeness(a: SCCPrint, b: SCCPrint) -> Optional[tuple]:
@@ -273,22 +222,24 @@ def candidate_pairs(program: Program, threshold=Fraction(1, 2),
     if normalize:
         program = normalize_program(program)
     sccs = build_sccs(program)
+    # SCCs are keyed by position: hashing one hashes every term in it
     buckets: dict = {}
-    prints = {}
-    for scc in sccs:
-        prints[scc] = scc_print(scc)
-        buckets.setdefault(_shape_signature(scc), []).append(scc)
+    prints = []
+    for k, scc in enumerate(sccs):
+        prints.append(scc_print(scc))
+        buckets.setdefault(_shape_signature(scc), []).append(k)
 
     results = []
     for group in buckets.values():
-        group = sorted(group, key=lambda s: s.name())
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                est = fp_closeness(prints[group[i]], prints[group[j]])
+        group = sorted(group, key=lambda k: sccs[k].name())
+        for a in range(len(group)):
+            for b in range(a + 1, len(group)):
+                i, j = group[a], group[b]
+                est = fp_closeness(prints[i], prints[j])
                 if est is None:
                     continue
                 if min(est) >= threshold:
-                    results.append((group[i], group[j], est))
+                    results.append((sccs[i], sccs[j], est))
     results.sort(key=lambda t: (-min(t[2]), t[0].name(), t[1].name()))
     return tuple(results)
 
@@ -305,21 +256,11 @@ def check_glb_conjecture(q1: Goal, q2: Goal) -> Optional[tuple]:
     when they differ.  Disagreements are possible in principle, so the
     caller decides how to report them.
     """
-    glb = goalprint_glb(goalprint(q1), goalprint(q2))
-    value, align = goal_similarity(q1, q2)
-    rename = align.renaming_dict
-    left_atoms = []
-    right_atoms = []
-    for li, ri in align.atom_pairing:
-        la, ra = q1.atoms[li], q2.atoms[ri]
-        if align.swapped:
-            inverse = {v: Var(k) for k, v in rename.items()}
-            la = rename_vars(la, inverse)
-        else:
-            la = rename_vars(la, {k: Var(v) for k, v in rename.items()})
-        left_atoms.append(la)
-        right_atoms.append(ra)
-    gen = msg(Goal(tuple(left_atoms)), Goal(tuple(right_atoms))).generalization
+    glb = goalprint(q1).glb(goalprint(q2))
+    _, align = goal_similarity(q1, q2)
+    pairs = align.renamed_pairs(q1, q2)
+    gen = msg(Goal(tuple(la for la, _ in pairs)),
+              Goal(tuple(ra for _, ra in pairs))).generalization
     gen_print = goalprint(gen)
     if glb == gen_print:
         return None

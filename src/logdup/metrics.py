@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .depgraph import SCC
-from .syntax import Atom, Clause, Goal, Num, PredSymbol, Struct, Var
+from .syntax import (
+    Atom, Clause, Goal, Num, PredSymbol, Struct, Var, align, rename_vars, var_names,
+)
 
 CONJ = "','"  # encoding functor for conjunction nodes
 NECK = "':-'"  # encoding functor for the clause neck
@@ -112,18 +113,6 @@ def total_nodes(entity) -> int:
 # Strict commonality
 # ---------------------------------------------------------------------------
 
-def _c_terms(a, b) -> int:
-    if isinstance(a, Var) and isinstance(b, Var):
-        return 1 if a.name == b.name else 0
-    if isinstance(a, Num) and isinstance(b, Num):
-        return 1 if a.value == b.value else 0
-    if isinstance(a, Struct) and isinstance(b, Struct):
-        if a.functor != b.functor or len(a.args) != len(b.args):
-            return 0
-        return 1 + sum(_c_terms(x, y) for x, y in zip(a.args, b.args))
-    return 0
-
-
 def strict_commonality(e1, e2) -> int:
     """Positional shared-node count (Definition 1); symmetric.
 
@@ -137,10 +126,8 @@ def strict_commonality(e1, e2) -> int:
             raise ValueError("strict commonality requires equally long goals")
         if not e1.atoms:
             return 0
-        pairs = sum(_c_terms(atom_to_term(a), atom_to_term(b))
-                    for a, b in zip(e1.atoms, e2.atoms))
-        return (len(e1.atoms) - 1) + pairs
-    return _c_terms(_encode(e1), _encode(e2))
+    matched, pairs, _ = align(_encode(e1), _encode(e2))
+    return matched + sum(x == y for x, y in pairs)
 
 
 def shared_var_count(e1, e2) -> int:
@@ -153,20 +140,27 @@ def shared_var_count(e1, e2) -> int:
         raise ValueError("cannot compare a goal with a non-goal")
     if isinstance(e1, Goal) and len(e1.atoms) != len(e2.atoms):
         raise ValueError("shared_var_count requires equally long goals")
-
-    def walk(a, b) -> int:
-        if isinstance(a, Var) and isinstance(b, Var):
-            return 1 if a.name == b.name else 0
-        if isinstance(a, Struct) and isinstance(b, Struct):
-            if a.functor != b.functor or len(a.args) != len(b.args):
-                return 0
-            return sum(walk(x, y) for x, y in zip(a.args, b.args))
-        return 0
-
     ea, eb = _encode(e1), _encode(e2)
     if ea is None or eb is None:
         return 0
-    return walk(ea, eb)
+    return sum(x == y for x, y in align(ea, eb)[1])
+
+
+# ---------------------------------------------------------------------------
+# Max-weight matching
+# ---------------------------------------------------------------------------
+
+def max_weight_matching(weights) -> list | None:
+    """Perfect matching of maximal total weight in a square table, as
+    (row, column) pairs in row order.  A negative weight marks a
+    forbidden pair; None when the best matching still uses one."""
+    if not weights:
+        return []
+    rows, cols = linear_sum_assignment(np.array(weights), maximize=True)
+    pairs = [(int(r), int(c)) for r, c in zip(rows, cols)]
+    if any(weights[r][c] < 0 for r, c in pairs):
+        return None
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -180,38 +174,34 @@ class MsgResult:
     subst2: dict
 
 
+def anti_unify(a, b, prefix: str, pairs: dict):
+    """Anti-unification of two terms (Plotkin 1970, Reynolds 1970).
+
+    Each distinct mismatched pair of subterms becomes one generalization
+    variable named ``prefix`` plus an ordinal; ``pairs`` maps every such
+    (left, right) pair to its variable and may be shared between calls
+    that must reuse variables.
+    """
+    if isinstance(a, Var) and isinstance(b, Var) and a.name == b.name:
+        return a
+    if isinstance(a, Num) and isinstance(b, Num) and a.value == b.value:
+        return a
+    if (isinstance(a, Struct) and isinstance(b, Struct)
+            and a.functor == b.functor and len(a.args) == len(b.args)):
+        return Struct(a.functor, tuple(anti_unify(x, y, prefix, pairs)
+                                       for x, y in zip(a.args, b.args)))
+    if (a, b) not in pairs:
+        pairs[a, b] = Var(f"{prefix}{len(pairs) + 1}")
+    return pairs[a, b]
+
+
 def msg(e1, e2) -> MsgResult:
     """Anti-unify two terms, atoms of equal predicate, or goals of equal
     length.  Repeated mismatch pairs reuse the same generalization
     variable, which makes the result unique up to renaming."""
-    pair_vars: dict = {}
-    counter = itertools.count(1)
-    subst1: dict = {}
-    subst2: dict = {}
-
-    def key(t):
-        return t  # terms are frozen/hashable
-
-    def anti(a, b):
-        if isinstance(a, Var) and isinstance(b, Var) and a.name == b.name:
-            return a
-        if isinstance(a, Num) and isinstance(b, Num) and a.value == b.value:
-            return a
-        if (isinstance(a, Struct) and isinstance(b, Struct)
-                and a.functor == b.functor and len(a.args) == len(b.args)):
-            return Struct(a.functor, tuple(anti(x, y) for x, y in zip(a.args, b.args)))
-        k = (key(a), key(b))
-        if k not in pair_vars:
-            v = Var(f"_M{next(counter)}")
-            pair_vars[k] = v
-            subst1[v.name] = a
-            subst2[v.name] = b
-        return pair_vars[k]
-
-    goal_inputs = isinstance(e1, Goal) and isinstance(e2, Goal)
     if isinstance(e1, Goal) != isinstance(e2, Goal):
         raise ValueError("cannot generalize a goal with a non-goal")
-    if goal_inputs:
+    if isinstance(e1, Goal):
         if len(e1.atoms) != len(e2.atoms):
             raise ValueError("msg requires positionally aligned goals")
         if not e1.atoms:
@@ -219,8 +209,11 @@ def msg(e1, e2) -> MsgResult:
     if isinstance(e1, Atom) and isinstance(e2, Atom) and e1.pred != e2.pred:
         raise ValueError("msg of atoms requires equal predicates")
 
-    gen = anti(_encode(e1), _encode(e2))
-    return MsgResult(_decode_like(gen, e1), dict(subst1), dict(subst2))
+    pairs: dict = {}
+    gen = anti_unify(_encode(e1), _encode(e2), "_M", pairs)
+    return MsgResult(_decode_like(gen, e1),
+                     {v.name: a for (a, _), v in pairs.items()},
+                     {v.name: b for (_, b), v in pairs.items()})
 
 
 def _decode_like(gen, template):
@@ -284,25 +277,12 @@ def maximal_similar_subgoals(q1: Goal, q2: Goal):
 
 def enumerate_renamings(q1: Goal, q2: Goal):
     """All injective mappings vars(q1) -> vars(q2), lexicographic order."""
-    v1 = sorted(_goal_vars(q1))
-    v2 = sorted(_goal_vars(q2))
+    v1 = sorted(var_names(q1))
+    v2 = sorted(var_names(q2))
     if len(v1) > len(v2):
         raise ValueError("enumerate_renamings requires #vars(q1) <= #vars(q2)")
     for image in itertools.permutations(v2, len(v1)):
         yield dict(zip(v1, image))
-
-
-def _goal_vars(goal: Goal) -> set:
-    names = set()
-    for atom in goal.atoms:
-        stack = list(atom.args)
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Var):
-                names.add(t.name)
-            elif isinstance(t, Struct):
-                stack.extend(t.args)
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -329,48 +309,52 @@ class GoalAlignment:
     def renaming_dict(self) -> dict:
         return dict(self.renaming)
 
-
-def _c_terms_rho(a, b, rho: dict) -> int:
-    """Strict commonality of a under renaming rho vs b; variables of a
-    missing from rho are scored optimistically (admissible upper bound)."""
-    if isinstance(a, Var):
-        if isinstance(b, Var):
-            mapped = rho.get(a.name)
-            return 1 if (mapped is None or mapped == b.name) else 0
-        return 0
-    if isinstance(a, Num) and isinstance(b, Num):
-        return 1 if a.value == b.value else 0
-    if isinstance(a, Struct) and isinstance(b, Struct):
-        if a.functor != b.functor or len(a.args) != len(b.args):
-            return 0
-        return 1 + sum(_c_terms_rho(x, y, rho) for x, y in zip(a.args, b.args))
-    return 0
+    def renamed_pairs(self, q1: Goal, q2: Goal) -> list:
+        """(left atom, right atom) for each pair of ``atom_pairing``, the
+        left atom renamed into the right goal's variables."""
+        if self.swapped:
+            mapping = {v: Var(k) for k, v in self.renaming}
+        else:
+            mapping = {k: Var(v) for k, v in self.renaming}
+        return [(rename_vars(q1.atoms[i], mapping), q2.atoms[j])
+                for i, j in self.atom_pairing]
 
 
-def _group_indices(q1: Goal, q2: Goal) -> list:
+def _alignment_table(q1: Goal, q2: Goal) -> list:
+    """Same-predicate atom groups in predicate order, each as (indices in
+    q1, indices in q2, cells): cell [a][b] holds the coinciding node count
+    and the aligned variable pairs of the a-th and b-th atoms."""
     groups: dict = {}
     for i, atom in enumerate(q1.atoms):
         groups.setdefault(atom.pred, ([], []))[0].append(i)
     for j, atom in enumerate(q2.atoms):
         groups.setdefault(atom.pred, ([], []))[1].append(j)
-    return [groups[k] for k in sorted(groups, key=lambda p: (p.name, p.arity))]
+    table = []
+    for pred in sorted(groups, key=lambda p: (p.name, p.arity)):
+        left, right = groups[pred]
+        cells = [[align(atom_to_term(q1.atoms[i]), atom_to_term(q2.atoms[j]))[:2]
+                  for j in right] for i in left]
+        table.append((left, right, cells))
+    return table
 
 
-def _best_pairing(q1: Goal, q2: Goal, groups, rho: dict):
-    """Optimal same-predicate atom pairing under (partially) fixed rho."""
-    t1 = [atom_to_term(a) for a in q1.atoms]
-    t2 = [atom_to_term(a) for a in q2.atoms]
+def _best_pairing(table: list, rho: dict):
+    """Optimal same-predicate atom pairing under a (partial) renaming rho
+    of q1's variables: a variable pair (x, y) counts when rho sends x to y
+    or leaves x unbound, which scores unbound variables optimistically
+    (an admissible upper bound)."""
     total = 0
     pairing = []
-    for left, right in groups:
-        if len(left) == 1 and len(right) == 1:
-            total += _c_terms_rho(t1[left[0]], t2[right[0]], rho)
+    for left, right, cells in table:
+        weights = [[matched + sum(rho.get(x, y) == y for x, y in pairs)
+                    for matched, pairs in row] for row in cells]
+        if len(left) == 1:
+            total += weights[0][0]
             pairing.append((left[0], right[0]))
             continue
-        w = np.array([[_c_terms_rho(t1[i], t2[j], rho) for j in right] for i in left])
-        rows, cols = linear_sum_assignment(w, maximize=True)
-        total += int(w[rows, cols].sum())
-        pairing.extend((left[r], right[c]) for r, c in zip(rows, cols))
+        for r, c in max_weight_matching(weights):
+            total += weights[r][c]
+            pairing.append((left[r], right[c]))
     pairing.sort()
     return total, tuple(pairing)
 
@@ -382,11 +366,11 @@ def _directed_commonality(q1: Goal, q2: Goal, vars_limit: int, group_limit: int)
     if n == 0:
         return GoalAlignment(value=0)
     base = n - 1
-    groups = _group_indices(q1, q2)
-    v1 = sorted(_goal_vars(q1))
-    v2 = sorted(_goal_vars(q2))
+    table = _alignment_table(q1, q2)
+    v1 = sorted(var_names(q1))
+    v2 = sorted(var_names(q2))
     exact = (len(v1) <= vars_limit
-             and max((len(g[0]) for g in groups), default=0) <= group_limit)
+             and max((len(g[0]) for g in table), default=0) <= group_limit)
 
     if not exact:
         rho: dict = {}
@@ -397,12 +381,12 @@ def _directed_commonality(q1: Goal, q2: Goal, vars_limit: int, group_limit: int)
                 if y in used:
                     continue
                 rho[x] = y
-                s, _ = _best_pairing(q1, q2, groups, rho)
+                s, _ = _best_pairing(table, rho)
                 if s > best_s:
                     best_s, best_y = s, y
             rho[x] = best_y
             used.add(best_y)
-        value, pairing = _best_pairing(q1, q2, groups, rho)
+        value, pairing = _best_pairing(table, rho)
         return GoalAlignment(tuple(sorted(rho.items())), pairing,
                              base + value, approximate=True)
 
@@ -411,7 +395,7 @@ def _directed_commonality(q1: Goal, q2: Goal, vars_limit: int, group_limit: int)
     used: set = set()
 
     def search(idx: int):
-        bound, pairing = _best_pairing(q1, q2, groups, rho)
+        bound, pairing = _best_pairing(table, rho)
         if base + bound <= best["value"]:
             return
         if idx == len(v1):
@@ -446,7 +430,7 @@ def commonality(q1: Goal, q2: Goal,
     """
     if predicate_multiset(q1) != predicate_multiset(q2):
         raise ValueError("commonality requires similarly structured goals")
-    k1, k2 = len(_goal_vars(q1)), len(_goal_vars(q2))
+    k1, k2 = len(var_names(q1)), len(var_names(q2))
     if k1 < k2:
         a = _directed_commonality(q1, q2, vars_limit, group_limit)
         return a.value, a

@@ -12,7 +12,7 @@ from __future__ import annotations
 import string
 
 from .syntax import (
-    ARITH_BUILTINS, EMPTY_GOAL, EQ, Atom, Clause, Goal, Num, Program, Struct,
+    ARITH_BUILTINS, EQ, Atom, Clause, Goal, Num, Program, Struct,
     Var, rename_vars, var_names,
 )
 
@@ -57,36 +57,38 @@ class _Normalizer:
         return self.binder[v.name]
 
     def flatten(self, lhs: Var, term):
-        """Emit lhs = <one level of term>, then recurse pre-order."""
-        if isinstance(term, Num):
-            self.body.append(Atom(EQ, (lhs, term)))
-            return
-        pending = []
-        args = []
-        local = {lhs.name}
-        for a in term.args:
-            if isinstance(a, Var):
-                img = self.image(a)
-                if img.name in local:
-                    # keep variables distinct inside one unification
+        """Emit lhs = <one level of term>, then its subterms pre-order.
+
+        A work item whose term is a variable or a numeral is emitted as
+        one unification."""
+        work = [(lhs, term)]
+        while work:
+            lhs, term = work.pop()
+            if not isinstance(term, Struct):
+                self.body.append(Atom(EQ, (lhs, term)))
+                continue
+            pending = []
+            args = []
+            local = {lhs.name}
+            for a in term.args:
+                if isinstance(a, Var):
+                    img = self.image(a)
+                    if img.name in local:
+                        # keep variables distinct inside one unification
+                        tv = Var(next(self.temps))
+                        args.append(tv)
+                        pending.append((tv, img))
+                        local.add(tv.name)
+                    else:
+                        args.append(img)
+                        local.add(img.name)
+                else:
                     tv = Var(next(self.temps))
                     args.append(tv)
-                    pending.append(("eq", tv, img))
                     local.add(tv.name)
-                else:
-                    args.append(img)
-                    local.add(img.name)
-            else:
-                tv = Var(next(self.temps))
-                args.append(tv)
-                local.add(tv.name)
-                pending.append(("flat", tv, a))
-        self.body.append(Atom(EQ, (lhs, Struct(term.functor, tuple(args)))))
-        for kind, tv, payload in pending:
-            if kind == "eq":
-                self.body.append(Atom(EQ, (tv, payload)))
-            else:
-                self.flatten(tv, payload)
+                    pending.append((tv, a))
+            self.body.append(Atom(EQ, (lhs, Struct(term.functor, tuple(args)))))
+            work.extend(reversed(pending))
 
     def subst_vars_only(self, term):
         if isinstance(term, Var):
@@ -204,9 +206,6 @@ def normalize_program(program: Program) -> Program:
     return Program(predicates, program.warnings, program.excluded)
 
 
-_NORMAL_CALL_OK = ARITH_BUILTINS
-
-
 def is_normal_atom(atom: Atom) -> bool:
     """True when the atom matches one of the three normal shapes."""
     if atom.pred == EQ:
@@ -214,7 +213,7 @@ def is_normal_atom(atom: Atom) -> bool:
         if not isinstance(lhs, Var):
             return False
         if isinstance(rhs, Var):
-            return lhs.name != rhs.name or True
+            return True
         if isinstance(rhs, Num):
             return True
         if isinstance(rhs, Struct):
@@ -223,6 +222,6 @@ def is_normal_atom(atom: Atom) -> bool:
             distinct = len(set(names + [lhs.name])) == len(names) + 1
             return all_vars and distinct
         return False
-    if (atom.pred.name, atom.pred.arity) in _NORMAL_CALL_OK:
+    if (atom.pred.name, atom.pred.arity) in ARITH_BUILTINS:
         return True
     return all(isinstance(a, Var) for a in atom.args)

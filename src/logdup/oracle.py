@@ -16,20 +16,11 @@ MAX_ORACLE_ATOMS = 5
 MAX_ORACLE_VARS = 5
 
 
-def _goal_vars(goal: Goal) -> tuple:
-    seen = []
-    for atom in goal.atoms:
-        for name in var_names(atom):
-            if name not in seen:
-                seen.append(name)
-    return tuple(seen)
-
-
 def _directed_max(src: Goal, dst: Goal) -> int:
     """Maximum strict commonality over every injective renaming of src's
     variables into dst's and every permutation of dst's atoms."""
-    src_vars = _goal_vars(src)
-    dst_vars = _goal_vars(dst)
+    src_vars = var_names(src)
+    dst_vars = var_names(dst)
     best = 0
     for image in itertools.permutations(dst_vars, len(src_vars)):
         renamed = rename_vars(src, {v: Var(w) for v, w in zip(src_vars, image)})
@@ -48,7 +39,7 @@ def brute_force_commonality(q1: Goal, q2: Goal) -> int:
     """
     if predicate_multiset(q1) != predicate_multiset(q2):
         raise ValueError("goals are not similarly structured")
-    v1, v2 = _goal_vars(q1), _goal_vars(q2)
+    v1, v2 = var_names(q1), var_names(q2)
     if min(len(q1.atoms), len(q2.atoms)) > MAX_ORACLE_ATOMS:
         raise ValueError("goal too large for exhaustive search")
     if max(len(v1), len(v2)) > MAX_ORACLE_VARS:

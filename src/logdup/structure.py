@@ -8,15 +8,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from .depgraph import SCC, segment_clause
 from .metrics import (
-    DEFAULT_EXACT_GROUP_LIMIT, DEFAULT_EXACT_VARS_LIMIT, GoalAlignment,
-    atom_to_term, goal_similarity, msg, strict_commonality,
+    DEFAULT_EXACT_GROUP_LIMIT, DEFAULT_EXACT_VARS_LIMIT, anti_unify, atom_to_term,
+    goal_similarity, max_weight_matching, strict_commonality,
 )
-from .syntax import Atom, Clause, Goal, Num, PredSymbol, Struct, Var, rename_vars
+from .syntax import (
+    Atom, Clause, Goal, PredSymbol, Var, align, rename_vars, var_names,
+)
 
 DEFAULT_ARITY_LIMIT = 6
 DEFAULT_WITNESS_CAP = 10000
@@ -71,6 +70,7 @@ class StructureWitness:
 class SimilarityResult:
     sigma: int
     closeness: tuple  # (Fraction, Fraction)
+    denominators: tuple  # (self-similarity of the left SCC, of the right)
     witness: StructureWitness
     segment_alignments: tuple  # per clause pair: tuple[GoalAlignment, ...]
     approximate: bool = False
@@ -89,36 +89,21 @@ def _transform_atom(atom: Atom, pred_map: dict, perms: dict) -> Atom:
 
 
 def _match_renaming(pairs) -> Optional[dict]:
-    """Simultaneous first-order matching of (source, target) term pairs.
+    """Simultaneous first-order matching of (source, target) atom pairs.
 
-    Succeeds iff the terms are structurally identical up to a consistent,
+    Succeeds iff the atoms are structurally identical up to a consistent,
     injective variable correspondence."""
     rho: dict = {}
-
-    def walk(a, b) -> bool:
-        if isinstance(a, Var) and isinstance(b, Var):
-            if a.name in rho:
-                return rho[a.name] == b.name
-            rho[a.name] = b.name
-            return True
-        if isinstance(a, Num) and isinstance(b, Num):
-            return a.value == b.value
-        if isinstance(a, Struct) and isinstance(b, Struct):
-            return (a.functor == b.functor and len(a.args) == len(b.args)
-                    and all(walk(x, y) for x, y in zip(a.args, b.args)))
-        return False
-
     for src, dst in pairs:
-        if not walk(atom_to_term(src), atom_to_term(dst)):
+        _, var_pairs, exact = align(atom_to_term(src), atom_to_term(dst))
+        if not exact:
             return None
+        for x, y in var_pairs:
+            if rho.setdefault(x, y) != y:
+                return None
     if len(set(rho.values())) != len(rho):
         return None
     return rho
-
-
-def _clause_skeleton(clause: Clause, scc: SCC):
-    seg = segment_clause(clause, scc)
-    return seg
 
 
 def _clause_rho(left: Clause, right: Clause, s1: SCC, s2: SCC,
@@ -165,7 +150,7 @@ def _pred_bijections(s1: SCC, s2: SCC):
         yield mapping
 
 
-def _perm_combos(members, pred_map: dict, arity_limit: int):
+def _perm_combos(members, arity_limit: int):
     """All per-predicate argument permutation combinations; beyond the
     arity limit only the identity is tried and the combo is approximate."""
     spaces = []
@@ -184,75 +169,75 @@ def _perm_combos(members, pred_map: dict, arity_limit: int):
         yield dict(zip(members, combo)), approximate
 
 
+def _witness_combos(s1: SCC, s2: SCC, arity_limit: int):
+    """Every (predicate bijection, argument permutations) combination of
+    two SCCs, in deterministic order, as ``(pred_map, perms, approximate,
+    groups, rhos)``.  ``groups`` holds, per member of s1, its clause
+    indices and those of its image in s2; ``rhos`` maps each compatible
+    clause pair (i, j) to its variable renaming.  ``approximate`` is set
+    when argument permutations were skipped beyond the arity limit."""
+    lefts = [[i for i, c in enumerate(s1.clauses) if c.head.pred == q] for q in s1.members]
+    for pred_map in _pred_bijections(s1, s2):
+        groups = [(left, [j for j, c in enumerate(s2.clauses) if c.head.pred == pred_map[q]])
+                  for q, left in zip(s1.members, lefts)]
+        for perms, approximate in _perm_combos(s1.members, arity_limit):
+            rhos = {}
+            for left, right in groups:
+                for i in left:
+                    for j in right:
+                        rho = _clause_rho(s1.clauses[i], s2.clauses[j], s1, s2,
+                                          pred_map, perms)
+                        if rho is not None:
+                            rhos[i, j] = rho
+            yield pred_map, perms, approximate, groups, rhos
+
+
+def _by_name(item):
+    return (item[0].name, item[0].arity)
+
+
+def _witness(s1: SCC, pred_map: dict, perms: dict, mapping, approximate: bool):
+    """The witness of a clause mapping given as (i, j, rho) triples sorted
+    by i."""
+    return StructureWitness(
+        ClauseMapping(tuple((i, j) for i, j, _ in mapping),
+                      tuple(sorted(((q, pred_map[q]) for q in s1.members), key=_by_name))),
+        tuple(sorted(perms.items(), key=_by_name)),
+        tuple(tuple(sorted(rho.items())) for _, _, rho in mapping),
+        approximate,
+    )
+
+
+def _clause_bijections(lefts: list, options: dict, used=frozenset()):
+    """Every assignment of pairwise distinct right clauses, outside
+    ``used``, to the left clauses, each from its ``options`` list of
+    (j, rho), in lexicographic order, as lists of (i, j, rho)."""
+    if not lefts:
+        yield []
+        return
+    i = lefts[0]
+    for j, rho in options[i]:
+        if j not in used:
+            for rest in _clause_bijections(lefts[1:], options, used | {j}):
+                yield [(i, j, rho)] + rest
+
+
 def find_structure_witnesses(s1: SCC, s2: SCC,
                              arity_limit: int = DEFAULT_ARITY_LIMIT,
                              cap: int = DEFAULT_WITNESS_CAP):
     """Enumerate Definition-8 witnesses in deterministic order; an empty
-    sequence means the SCCs do not share a recursive structure."""
-    emitted = 0
-    for pred_map in _pred_bijections(s1, s2):
-        left_groups = {q: [i for i, c in enumerate(s1.clauses) if c.head.pred == q]
-                       for q in s1.members}
-        right_groups = {q: [j for j, c in enumerate(s2.clauses) if c.head.pred == pred_map[q]]
-                        for q in s1.members}
-        for perms, perm_approx in _perm_combos(s1.members, pred_map, arity_limit):
-            # candidate right clauses (with rho) per left clause
-            cand: dict = {}
-            feasible = True
-            for q in s1.members:
-                for i in left_groups[q]:
-                    options = []
-                    for j in right_groups[q]:
-                        rho = _clause_rho(s1.clauses[i], s2.clauses[j], s1, s2,
-                                          pred_map, perms)
-                        if rho is not None:
-                            options.append((j, rho))
-                    if not options:
-                        feasible = False
-                        break
-                    cand[i] = options
-                if not feasible:
-                    break
-            if not feasible:
-                continue
-            # enumerate perfect matchings per predicate group
-            def matchings(groups):
-                if not groups:
-                    yield []
-                    return
-                q, rest = groups[0], groups[1:]
-                lefts = left_groups[q]
-
-                def assign(k, used, acc):
-                    if k == len(lefts):
-                        for tail in matchings(rest):
-                            yield acc + tail
-                        return
-                    i = lefts[k]
-                    for j, rho in cand[i]:
-                        if j in used:
-                            continue
-                        used.add(j)
-                        yield from assign(k + 1, used, acc + [(i, j, rho)])
-                        used.discard(j)
-
-                yield from assign(0, set(), [])
-
-            for matching in matchings(list(s1.members)):
-                pairs = tuple(sorted((i, j) for i, j, _ in matching))
-                rhos = tuple(tuple(sorted(rho.items()))
-                             for i, j, rho in sorted(matching))
-                witness = StructureWitness(
-                    ClauseMapping(pairs, tuple(sorted(((q, pred_map[q]) for q in s1.members),
-                                                      key=lambda kv: (kv[0].name, kv[0].arity)))),
-                    tuple(sorted(perms.items(), key=lambda kv: (kv[0].name, kv[0].arity))),
-                    rhos,
-                    approximate=perm_approx,
-                )
-                yield witness
-                emitted += 1
-                if emitted >= cap:
-                    return
+    sequence means the SCCs do not share a recursive structure.  At most
+    ``cap`` (predicate bijection, argument permutations) combinations are
+    examined."""
+    for pred_map, perms, approximate, groups, rhos in itertools.islice(
+            _witness_combos(s1, s2, arity_limit), cap):
+        options = {i: [(j, rhos[i, j]) for j in right if (i, j) in rhos]
+                   for left, right in groups for i in left}
+        if not all(options.values()):
+            continue
+        for mapping in _clause_bijections(list(options), options):
+            yield _witness(s1, pred_map, perms, sorted(mapping, key=lambda m: m[0]),
+                           approximate)
 
 
 def validate_witness(s1: SCC, s2: SCC, w: StructureWitness) -> bool:
@@ -324,28 +309,14 @@ def scc_similarity(s1: SCC, s2: SCC, w: StructureWitness,
 
 
 def identity_witness(s: SCC) -> StructureWitness:
-    pred_map = {q: q for q in s.members}
-    perms = {q: ArgPermutation.identity(q.arity) for q in s.members}
-    pairs = tuple((i, i) for i in range(len(s.clauses)))
-    rhos = []
-    for c in s.clauses:
+    mapping = []
+    for i, c in enumerate(s.clauses):
         seg = segment_clause(c, s)
-        names = set()
-        for atom in (seg.head,) + seg.recursive_calls:
-            stack = list(atom.args)
-            while stack:
-                t = stack.pop()
-                if isinstance(t, Var):
-                    names.add(t.name)
-                elif isinstance(t, Struct):
-                    stack.extend(t.args)
-        rhos.append(tuple(sorted((n, n) for n in names)))
-    return StructureWitness(
-        ClauseMapping(pairs, tuple(sorted(((q, q) for q in s.members),
-                                          key=lambda kv: (kv[0].name, kv[0].arity)))),
-        tuple(sorted(perms.items(), key=lambda kv: (kv[0].name, kv[0].arity))),
-        tuple(rhos),
-    )
+        names = var_names(Goal((seg.head,) + seg.recursive_calls))
+        mapping.append((i, i, {n: n for n in names}))
+    return _witness(s, {q: q for q in s.members},
+                    {q: ArgPermutation.identity(q.arity) for q in s.members},
+                    mapping, False)
 
 
 def self_similarity(s: SCC,
@@ -370,72 +341,44 @@ def closeness(s1: SCC, s2: SCC,
     max-weight assignment over compatible clause pairs, which maximizes
     sigma exactly in polynomial time per combination."""
     best = None
-    combos_seen = 0
     truncated = False
-    for pred_map in _pred_bijections(s1, s2):
-        left_groups = {q: [i for i, c in enumerate(s1.clauses) if c.head.pred == q]
-                       for q in s1.members}
-        right_groups = {q: [j for j, c in enumerate(s2.clauses) if c.head.pred == pred_map[q]]
-                        for q in s1.members}
-        if any(len(left_groups[q]) != len(right_groups[q]) for q in s1.members):
-            continue
-        for perms, perm_approx in _perm_combos(s1.members, pred_map, arity_limit):
-            combos_seen += 1
-            if combos_seen > witness_cap:
-                truncated = True
-                break
-            total = 0
-            mapping = []
-            feasible = True
-            approx = perm_approx
-            for q in s1.members:
-                lefts, rights = left_groups[q], right_groups[q]
-                scores = {}
-                weights = np.full((len(lefts), len(rights)), -1.0)
-                for a, i in enumerate(lefts):
-                    for b, j in enumerate(rights):
-                        rho = _clause_rho(s1.clauses[i], s2.clauses[j], s1, s2,
-                                          pred_map, perms)
-                        if rho is None:
-                            continue
-                        score, aligns, sc_approx = _clause_pair_score(
-                            s1.clauses[i], s2.clauses[j], s1, s2,
-                            pred_map, perms, rho, vars_limit, group_limit)
-                        weights[a, b] = score
-                        scores[(a, b)] = (score, rho, aligns, sc_approx)
-                rows, cols = linear_sum_assignment(weights, maximize=True)
-                if any(weights[r, c] < 0 for r, c in zip(rows, cols)):
-                    feasible = False
-                    break
-                for r, c in zip(rows, cols):
-                    score, rho, aligns, sc_approx = scores[(r, c)]
-                    total += score
-                    approx = approx or sc_approx
-                    mapping.append((lefts[r], rights[c], rho, aligns))
-            if not feasible:
-                continue
-            if best is None or total > best[0]:
-                best = (total, pred_map, dict(perms), sorted(mapping), approx)
-        if truncated:
+    for count, (pred_map, perms, approx, groups, rhos) in enumerate(
+            _witness_combos(s1, s2, arity_limit)):
+        if count == witness_cap:
+            truncated = True
             break
+        total = 0
+        mapping = []
+        for left, right in groups:
+            scored = {(i, j): _clause_pair_score(s1.clauses[i], s2.clauses[j], s1, s2,
+                                                 pred_map, perms, rhos[i, j],
+                                                 vars_limit, group_limit)
+                      for i in left for j in right if (i, j) in rhos}
+            matching = max_weight_matching(
+                [[scored[i, j][0] if (i, j) in scored else -1 for j in right] for i in left])
+            if matching is None:
+                break
+            for a, b in matching:
+                i, j = left[a], right[b]
+                score, aligns, pair_approx = scored[i, j]
+                total += score
+                approx = approx or pair_approx
+                mapping.append((i, j, rhos[i, j], aligns))
+        else:
+            if best is None or total > best[0]:
+                best = (total, pred_map, perms, sorted(mapping, key=lambda m: m[0]), approx)
 
     if best is None:
         return None
     total, pred_map, perms, mapping, approx = best
-    witness = StructureWitness(
-        ClauseMapping(tuple((i, j) for i, j, _, _ in mapping),
-                      tuple(sorted(((q, pred_map[q]) for q in s1.members),
-                                   key=lambda kv: (kv[0].name, kv[0].arity)))),
-        tuple(sorted(perms.items(), key=lambda kv: (kv[0].name, kv[0].arity))),
-        tuple(tuple(sorted(rho.items())) for _, _, rho, _ in mapping),
-        approximate=approx or truncated,
-    )
+    witness = _witness(s1, pred_map, perms, [(i, j, rho) for i, j, rho, _ in mapping],
+                       approx or truncated)
     n1 = self_similarity(s1, vars_limit, group_limit)
     n2 = self_similarity(s2, vars_limit, group_limit)
     gamma = (Fraction(total, n1) if n1 else Fraction(0),
              Fraction(total, n2) if n2 else Fraction(0))
-    return SimilarityResult(total, gamma, witness,
-                            tuple(tuple(aligns) for _, _, _, aligns in mapping),
+    return SimilarityResult(total, gamma, (n1, n2), witness,
+                            tuple(aligns for _, _, _, aligns in mapping),
                             approximate=approx or truncated)
 
 
@@ -462,39 +405,17 @@ def common_core(s1: SCC, s2: SCC, result: SimilarityResult) -> tuple:
         lseg = segment_clause(left, s1)
         rseg = segment_clause(right, s2)
         aligns = result.segment_alignments[idx]
-        memo: dict = {}
-        counter = itertools.count(1)
-
-        def anti(a, b):
-            if isinstance(a, Var) and isinstance(b, Var) and a.name == b.name:
-                return a
-            if isinstance(a, Num) and isinstance(b, Num) and a.value == b.value:
-                return a
-            if (isinstance(a, Struct) and isinstance(b, Struct)
-                    and a.functor == b.functor and len(a.args) == len(b.args)):
-                return Struct(a.functor, tuple(anti(x, y) for x, y in zip(a.args, b.args)))
-            k = (a, b)
-            if k not in memo:
-                memo[k] = Var(f"G{next(counter)}")
-            return memo[k]
+        generalized: dict = {}
 
         def anti_atom(a: Atom, b: Atom) -> Atom:
-            return Atom(b.pred, tuple(anti(x, y) for x, y in zip(a.args, b.args)))
+            return Atom(b.pred, tuple(anti_unify(x, y, "G", generalized)
+                                      for x, y in zip(a.args, b.args)))
 
         rho_vars = {k: Var(v) for k, v in rho_items}
         body_atoms = []
-        head = None
-        for si, (lq, rq, align) in enumerate(zip(lseg.segments, rseg.segments, aligns)):
-            rename = align.renaming_dict
-            kept = []
-            for li, ri in align.atom_pairing:
-                la, ra = lq.atoms[li], rq.atoms[ri]
-                if align.swapped:
-                    inverse = {v: Var(k) for k, v in rename.items()}
-                    la2 = rename_vars(la, inverse)
-                else:
-                    la2 = rename_vars(la, {k: Var(v) for k, v in rename.items()})
-                kept.append((ri, anti_atom(la2, ra)))
+        for si, (lq, rq, seg_align) in enumerate(zip(lseg.segments, rseg.segments, aligns)):
+            kept = [(ri, anti_atom(la, ra)) for (_, ri), (la, ra)
+                    in zip(seg_align.atom_pairing, seg_align.renamed_pairs(lq, rq))]
             body_atoms.extend(atom for _, atom in sorted(kept, key=lambda kv: kv[0]))
             if si < len(rseg.recursive_calls):
                 lcall = rename_vars(

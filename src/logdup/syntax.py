@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 
 class PrologSyntaxError(Exception):
@@ -546,25 +546,46 @@ def render_program(program: Program) -> str:
 def var_names(entity) -> list:
     """Variable names in order of first occurrence."""
     seen: dict = {}
-
-    def walk(e):
+    stack = [entity]
+    while stack:
+        e = stack.pop()
         if isinstance(e, Var):
             seen.setdefault(e.name, None)
-        elif isinstance(e, Struct):
-            for a in e.args:
-                walk(a)
-        elif isinstance(e, Atom):
-            for a in e.args:
-                walk(a)
+        elif isinstance(e, (Struct, Atom)):
+            stack.extend(reversed(e.args))
         elif isinstance(e, Goal):
-            for a in e.atoms:
-                walk(a)
+            stack.extend(reversed(e.atoms))
         elif isinstance(e, Clause):
-            walk(e.head)
-            walk(e.body)
-
-    walk(entity)
+            stack.extend((e.body, e.head))
     return list(seen)
+
+
+def align(a, b) -> tuple:
+    """Walk two terms position by position, descending only below
+    coinciding functors.
+
+    Returns ``(matched, pairs, exact)``: the number of functor and numeral
+    nodes that coincide, the ``(left name, right name)`` pair of every
+    position where both terms hold a variable (in pre-order), and whether
+    the terms differ in variable names only.
+    """
+    matched = 0
+    pairs = []
+    exact = True
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if isinstance(x, Var) and isinstance(y, Var):
+            pairs.append((x.name, y.name))
+        elif isinstance(x, Num) and isinstance(y, Num) and x.value == y.value:
+            matched += 1
+        elif (isinstance(x, Struct) and isinstance(y, Struct)
+              and x.functor == y.functor and len(x.args) == len(y.args)):
+            matched += 1
+            stack.extend(zip(reversed(x.args), reversed(y.args)))
+        else:
+            exact = False
+    return matched, pairs, exact
 
 
 def rename_vars(entity, mapping: dict):

@@ -134,3 +134,18 @@ def test_skipped_predicate_warning_surfaces(tmp_path, capsys):
     main([path])
     out = capsys.readouterr().out
     assert "warning:" in out and "p/1" in out
+
+
+def test_deep_list_fact_is_analyzed(tmp_path, capsys):
+    path = write(tmp_path, "deep.pl", "big([" + ",".join(map(str, range(2000))) + "]).\n")
+    assert main([path]) == 0
+    assert main([path, "--no-normalize"]) == 0
+
+
+def test_paths_may_follow_options(tmp_path, capsys):
+    left = write(tmp_path, "a.pl", APPEND)
+    right = write(tmp_path, "b.pl", CONCAT)
+    code = main([left, "--threshold", "1", right, "--format", "json"])
+    assert code == 0
+    (entry,) = json.loads(capsys.readouterr().out)["pairs"]
+    assert {entry["left"]["file"], entry["right"]["file"]} == {left, right}

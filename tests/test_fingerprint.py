@@ -4,7 +4,7 @@ import pytest
 
 from logdup import (
     GoalPrint, PredSymbol, candidate_pairs, check_glb_conjecture, clauseprint,
-    fp_closeness, goalprint, goalprint_glb, goalprint_leq, mutate_duplicate,
+    fp_closeness, goalprint, mutate_duplicate,
     normalize_program, parse_goal, parse_program, predicate_print, print_glb,
     scc_print,
 )
@@ -55,21 +55,21 @@ def test_goalprint_rejects_non_normal_atom():
 def test_goalprint_order():
     small = goalprint(parse_goal("X = f(Y)"))
     big = goalprint(parse_goal("X = f(Y), Z = f(W), p(X)"))
-    assert goalprint_leq(small, big)
-    assert not goalprint_leq(big, small)
+    assert small.leq(big)
+    assert not big.leq(small)
     other = goalprint(parse_goal("X = g(Y)"))
-    assert not goalprint_leq(small, other) and not goalprint_leq(other, small)
+    assert not small.leq(other) and not other.leq(small)
 
 
 def test_goalprint_glb_pointwise_minimum():
     a = goalprint(parse_goal("X = f(Y), Z = f(W)"))
     b = goalprint(parse_goal("X = f(Y), p(X)"))
-    g = goalprint_glb(a, b)
+    g = a.glb(b)
     assert g.count(("f", 1)) == 1
     assert g.count(("=", 2)) == 1
     assert g.count(("p", 1)) == 0
-    assert goalprint_glb(a, a) == a
-    assert goalprint_glb(a, GoalPrint(())) == GoalPrint(())
+    assert a.glb(a) == a
+    assert a.glb(GoalPrint(())) == GoalPrint(())
 
 
 def test_clauseprint_of_normalized_append():

@@ -7,8 +7,10 @@ from logdup import (
     identity_witness, normalize_program, parse_program, render_clause,
     scc_similarity, self_similarity, validate_witness,
 )
+from logdup import mutate_duplicate
 from logdup.depgraph import build_sccs, scc_of
-from tests.conftest import scc_named
+from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, REV_ALL, scc_named
+from tests.test_acceptance import FIXTURE, FIXTURE_PREDS
 
 
 def test_arg_permutation_apply():
@@ -160,3 +162,31 @@ def test_mutual_recursion_pair():
     r = scc_named(right, "pair", 1)
     result = closeness(l, r)
     assert result.closeness == (Fraction(1), Fraction(1))
+
+
+def _assert_closeness_is_best_witness(s1, s2):
+    witnesses = list(find_structure_witnesses(s1, s2))
+    result = closeness(s1, s2)
+    if not witnesses:
+        assert result is None
+    else:
+        assert result.sigma == max(scc_similarity(s1, s2, w) for w in witnesses)
+
+
+def test_closeness_maximizes_over_enumerated_witnesses():
+    fixtures = [scc_named(APPEND, "append", 3), scc_named(CONCAT, "concat", 3),
+                scc_named(REV_ALL, "rev_all", 2),
+                scc_named(ADD1_AND_SQR, "add1_and_sqr", 2)]
+    for s1 in fixtures:
+        for s2 in fixtures:
+            _assert_closeness_is_best_witness(s1, s2)
+
+
+def test_closeness_maximizes_over_witnesses_of_mutated_copies():
+    sccs = build_sccs(normalize_program(parse_program(FIXTURE)))
+    originals = [scc_of(sccs, PredSymbol(name, arity)) for name, arity in FIXTURE_PREDS]
+    copies = [mutate_duplicate(scc, seed)[0]
+              for seed, scc in enumerate(originals)]
+    for s1 in originals:
+        for s2 in originals + copies:
+            _assert_closeness_is_best_witness(s1, s2)

@@ -6,7 +6,8 @@ from logdup import (
     parse_clause, parse_goal, parse_program, parse_term, render_clause,
     render_term,
 )
-from logdup.syntax import rename_vars, var_names
+from logdup.metrics import nodes, var_occurrences
+from logdup.syntax import align, rename_vars, var_names
 
 
 def test_parse_fact():
@@ -88,6 +89,20 @@ def test_rename_vars():
     goal = parse_goal("p(X, f(Y)), q(X)")
     renamed = rename_vars(goal, {"X": Var("Z")})
     assert renamed == parse_goal("p(Z, f(Y)), q(Z)")
+
+
+def test_align_and_var_names_walk_deep_terms():
+    nested = Var("X")
+    for _ in range(10_000):
+        nested = Struct("f", (nested, Num(1)))
+    listed = Struct("[]")
+    for i in range(10_000):
+        listed = Struct(".", (Var(f"V{i % 7}") if i % 2 else Num(i), listed))
+    for term, names in ((nested, 1), (listed, 7)):
+        matched, pairs, exact = align(term, term)
+        assert (matched, exact) == (nodes(term), True)
+        assert len(pairs) == var_occurrences(term)
+        assert len(var_names(term)) == names
 
 
 def test_var_names_first_occurrence_order():
