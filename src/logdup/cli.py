@@ -86,6 +86,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _merge(programs) -> Program:
+    """One program from several files.  A predicate defined in more than
+    one file gets all their clauses, in file order, and a warning."""
     predicates: dict = {}
     warnings: list = []
     excluded: set = set()
@@ -95,6 +97,11 @@ def _merge(programs) -> Program:
             predicates[pred] = predicates[pred] + clauses
         warnings.extend(prog.warnings)
         excluded.update(prog.excluded)
+    for pred, clauses in predicates.items():
+        files = list(dict.fromkeys(c.origin[0] for c in clauses))
+        if len(files) > 1:
+            named = ", ".join(files[:-1]) + " and " + files[-1]
+            warnings.append(f"{pred} is defined in {named}; their clauses are merged")
     return Program(predicates, tuple(warnings), frozenset(excluded))
 
 

@@ -4,6 +4,7 @@ segmentation into non-recursive subgoals and recursive calls."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .syntax import Atom, Clause, Goal, PredSymbol, Program, is_builtin
 
@@ -15,12 +16,29 @@ class SCC:
     members: tuple  # sorted tuple[PredSymbol, ...]
     clauses: tuple  # tuple[Clause, ...], grouped per member in program order
 
-    @property
+    # Derived values are cached on the instance (outside the dataclass
+    # fields, so equality, hashing and copies by field are unaffected).
+
+    @cached_property
     def member_set(self) -> frozenset:
         return frozenset(self.members)
 
+    @cached_property
+    def segmented(self) -> tuple:
+        """``segment_clause`` of each clause, in clause order."""
+        return tuple(segment_clause(c, self) for c in self.clauses)
+
+    @cached_property
+    def self_similarities(self) -> dict:
+        """Self-similarity per (vars limit, group limit), filled by
+        ``structure.self_similarity``."""
+        return {}
+
     def clauses_of(self, pred: PredSymbol) -> tuple:
         return tuple(c for c in self.clauses if c.head.pred == pred)
+
+    def segments_of(self, pred: PredSymbol) -> tuple:
+        return tuple(seg for seg in self.segmented if seg.head.pred == pred)
 
     def name(self) -> str:
         return "[" + ",".join(str(p) for p in self.members) + "]"

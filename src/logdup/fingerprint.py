@@ -8,10 +8,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .depgraph import SCC, build_sccs, segment_clause
+from .depgraph import SCC, ClauseSegments, build_sccs, segment_clause
 from .metrics import goal_similarity, max_weight_matching, msg
 from .normalize import is_normal_atom, normalize_program
-from .syntax import EQ, Clause, Goal, Num, PredSymbol, Program, Var
+from .syntax import EQ, Clause, Goal, PredSymbol, Program, Struct
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,13 @@ class SCCPrint:
 
 def _count_functors(term, counts: dict):
     # numerals are counted as nodes elsewhere but carry no symbol here
-    if isinstance(term, (Var, Num)):
-        return
-    counts[(term.functor, len(term.args))] = counts.get((term.functor, len(term.args)), 0) + 1
-    for a in term.args:
-        _count_functors(a, counts)
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Struct):
+            key = (t.functor, len(t.args))
+            counts[key] = counts.get(key, 0) + 1
+            stack.extend(t.args)
 
 
 def goalprint(goal: Goal) -> GoalPrint:
@@ -125,7 +127,10 @@ def goalprint(goal: Goal) -> GoalPrint:
 
 
 def clauseprint(clause: Clause, scc: SCC) -> ClausePrint:
-    seg = segment_clause(clause, scc)
+    return _segments_print(segment_clause(clause, scc))
+
+
+def _segments_print(seg: ClauseSegments) -> ClausePrint:
     return ClausePrint(tuple(goalprint(q) for q in seg.segments))
 
 
@@ -134,7 +139,7 @@ def _canonical_key(cp: ClausePrint):
 
 
 def predicate_print(pred: PredSymbol, scc: SCC) -> PredicatePrint:
-    cps = [clauseprint(c, scc) for c in scc.clauses_of(pred)]
+    cps = [_segments_print(seg) for seg in scc.segments_of(pred)]
     return PredicatePrint(tuple(sorted(cps, key=_canonical_key)))
 
 
@@ -205,8 +210,7 @@ def _shape_signature(scc: SCC):
     recursive structure."""
     per_pred = []
     for pred in scc.members:
-        lengths = sorted(len(segment_clause(c, scc).segments)
-                         for c in scc.clauses_of(pred))
+        lengths = sorted(len(seg.segments) for seg in scc.segments_of(pred))
         per_pred.append((pred.arity, tuple(lengths)))
     return tuple(sorted(per_pred))
 

@@ -91,11 +91,25 @@ class _Normalizer:
             work.extend(reversed(pending))
 
     def subst_vars_only(self, term):
-        if isinstance(term, Var):
-            return self.image(term)
-        if isinstance(term, Struct):
-            return Struct(term.functor, tuple(self.subst_vars_only(a) for a in term.args))
-        return term
+        """``term`` with each variable replaced by its image, rebuilt
+        bottom-up without recursion (arithmetic can nest deeply)."""
+        done: list = []  # rebuilt subterms, in order
+        work = [(term, False)]
+        while work:
+            t, args_done = work.pop()
+            if isinstance(t, Var):
+                done.append(self.image(t))
+            elif not isinstance(t, Struct):
+                done.append(t)
+            elif args_done:
+                start = len(done) - len(t.args)
+                args = tuple(done[start:])
+                del done[start:]
+                done.append(Struct(t.functor, args))
+            else:
+                work.append((t, True))
+                work.extend((a, False) for a in reversed(t.args))
+        return done[0]
 
 
 def _eliminate_var_unifications(body: list, head_params: set) -> list:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .depgraph import SCC, segment_clause
+from .depgraph import SCC, ClauseSegments
 from .metrics import (
     DEFAULT_EXACT_GROUP_LIMIT, DEFAULT_EXACT_VARS_LIMIT, anti_unify, atom_to_term,
     goal_similarity, max_weight_matching, strict_commonality,
@@ -106,11 +106,9 @@ def _match_renaming(pairs) -> Optional[dict]:
     return rho
 
 
-def _clause_rho(left: Clause, right: Clause, s1: SCC, s2: SCC,
+def _clause_rho(lseg: ClauseSegments, rseg: ClauseSegments,
                 pred_map: dict, perms: dict) -> Optional[dict]:
     """Renaming for one clause pair under fixed pi, or None."""
-    lseg = segment_clause(left, s1)
-    rseg = segment_clause(right, s2)
     if len(lseg.recursive_calls) != len(rseg.recursive_calls):
         return None
     pairs = [(_transform_atom(lseg.head, pred_map, perms), rseg.head)]
@@ -185,7 +183,7 @@ def _witness_combos(s1: SCC, s2: SCC, arity_limit: int):
             for left, right in groups:
                 for i in left:
                     for j in right:
-                        rho = _clause_rho(s1.clauses[i], s2.clauses[j], s1, s2,
+                        rho = _clause_rho(s1.segmented[i], s2.segmented[j],
                                           pred_map, perms)
                         if rho is not None:
                             rhos[i, j] = rho
@@ -247,8 +245,7 @@ def validate_witness(s1: SCC, s2: SCC, w: StructureWitness) -> bool:
     perms = w.perm_dict
     for (i, j), rho_items in zip(w.clause_mapping.pairs, w.renamings):
         rho = dict(rho_items)
-        lseg = segment_clause(s1.clauses[i], s1)
-        rseg = segment_clause(s2.clauses[j], s2)
+        lseg, rseg = s1.segmented[i], s2.segmented[j]
         if len(lseg.recursive_calls) != len(rseg.recursive_calls):
             return False
         lefts = (lseg.head,) + lseg.recursive_calls
@@ -267,13 +264,17 @@ def validate_witness(s1: SCC, s2: SCC, w: StructureWitness) -> bool:
 # Similarity and closeness
 # ---------------------------------------------------------------------------
 
-def _clause_pair_score(left: Clause, right: Clause, s1: SCC, s2: SCC,
-                       pred_map: dict, perms: dict, rho: dict,
-                       vars_limit: int, group_limit: int):
-    """Definition-9 contribution of one mapped clause pair, with the
-    per-segment alignments that realize it."""
-    lseg = segment_clause(left, s1)
-    rseg = segment_clause(right, s2)
+# The Definition-9 contribution of a mapped clause pair is the sum of two
+# parts.  The segment part depends on the two clauses alone, so closeness
+# computes it once per clause pair and reuses it for every (predicate
+# bijection, argument permutation) combination; only the call part
+# depends on pi and rho.
+
+def _segment_score(lseg: ClauseSegments, rseg: ClauseSegments,
+                   vars_limit: int, group_limit: int):
+    """The clause-neck node plus the goal similarity of each segment
+    pair, with the alignments that realize it and whether any of them is
+    approximate."""
     score = 1  # the clause-neck node
     alignments = []
     approximate = False
@@ -282,13 +283,18 @@ def _clause_pair_score(left: Clause, right: Clause, s1: SCC, s2: SCC,
         score += value
         alignments.append(align)
         approximate = approximate or align.approximate
+    return score, tuple(alignments), approximate
+
+
+def _call_score(lseg: ClauseSegments, rseg: ClauseSegments,
+                pred_map: dict, perms: dict, rho: dict) -> int:
+    """Strict commonality of the heads and of the recursive calls, the
+    left ones under pi and rho."""
     rho_vars = {k: Var(v) for k, v in rho.items()}
     lefts = (lseg.head,) + lseg.recursive_calls
     rights = (rseg.head,) + rseg.recursive_calls
-    for la, ra in zip(lefts, rights):
-        image = rename_vars(_transform_atom(la, pred_map, perms), rho_vars)
-        score += strict_commonality(image, ra)
-    return score, tuple(alignments), approximate
+    return sum(strict_commonality(rename_vars(_transform_atom(la, pred_map, perms), rho_vars), ra)
+               for la, ra in zip(lefts, rights))
 
 
 def scc_similarity(s1: SCC, s2: SCC, w: StructureWitness,
@@ -301,17 +307,15 @@ def scc_similarity(s1: SCC, s2: SCC, w: StructureWitness,
     perms = w.perm_dict
     total = 0
     for (i, j), rho_items in zip(w.clause_mapping.pairs, w.renamings):
-        score, _, _ = _clause_pair_score(s1.clauses[i], s2.clauses[j], s1, s2,
-                                         pred_map, perms, dict(rho_items),
-                                         vars_limit, group_limit)
-        total += score
+        lseg, rseg = s1.segmented[i], s2.segmented[j]
+        total += (_segment_score(lseg, rseg, vars_limit, group_limit)[0]
+                  + _call_score(lseg, rseg, pred_map, perms, dict(rho_items)))
     return total
 
 
 def identity_witness(s: SCC) -> StructureWitness:
     mapping = []
-    for i, c in enumerate(s.clauses):
-        seg = segment_clause(c, s)
+    for i, seg in enumerate(s.segmented):
         names = var_names(Goal((seg.head,) + seg.recursive_calls))
         mapping.append((i, i, {n: n for n in names}))
     return _witness(s, {q: q for q in s.members},
@@ -324,8 +328,13 @@ def self_similarity(s: SCC,
                     group_limit: int = DEFAULT_EXACT_GROUP_LIMIT) -> int:
     """sigma(s, s, identity); the closeness denominator N_[s].  Using the
     self-similarity rather than the raw node total makes closeness (1,1)
-    for duplicates by construction."""
-    return scc_similarity(s, s, identity_witness(s), vars_limit, group_limit)
+    for duplicates by construction.  Computed once per SCC and limits,
+    and kept on the SCC."""
+    cache = s.self_similarities
+    key = (vars_limit, group_limit)
+    if key not in cache:
+        cache[key] = scc_similarity(s, s, identity_witness(s), vars_limit, group_limit)
+    return cache[key]
 
 
 def closeness(s1: SCC, s2: SCC,
@@ -342,26 +351,29 @@ def closeness(s1: SCC, s2: SCC,
     sigma exactly in polynomial time per combination."""
     best = None
     truncated = False
+    segment_scores: dict = {}  # (i, j) -> _segment_score of that clause pair
     for count, (pred_map, perms, approx, groups, rhos) in enumerate(
             _witness_combos(s1, s2, arity_limit)):
         if count == witness_cap:
             truncated = True
             break
+        scored = {}
+        for (i, j), rho in rhos.items():
+            lseg, rseg = s1.segmented[i], s2.segmented[j]
+            if (i, j) not in segment_scores:
+                segment_scores[i, j] = _segment_score(lseg, rseg, vars_limit, group_limit)
+            scored[i, j] = segment_scores[i, j][0] + _call_score(lseg, rseg, pred_map, perms, rho)
         total = 0
         mapping = []
         for left, right in groups:
-            scored = {(i, j): _clause_pair_score(s1.clauses[i], s2.clauses[j], s1, s2,
-                                                 pred_map, perms, rhos[i, j],
-                                                 vars_limit, group_limit)
-                      for i in left for j in right if (i, j) in rhos}
             matching = max_weight_matching(
-                [[scored[i, j][0] if (i, j) in scored else -1 for j in right] for i in left])
+                [[scored.get((i, j), -1) for j in right] for i in left])
             if matching is None:
                 break
             for a, b in matching:
                 i, j = left[a], right[b]
-                score, aligns, pair_approx = scored[i, j]
-                total += score
+                _, aligns, pair_approx = segment_scores[i, j]
+                total += scored[i, j]
                 approx = approx or pair_approx
                 mapping.append((i, j, rhos[i, j], aligns))
         else:
@@ -401,9 +413,8 @@ def common_core(s1: SCC, s2: SCC, result: SimilarityResult) -> tuple:
 
     clauses = []
     for idx, ((i, j), rho_items) in enumerate(zip(w.clause_mapping.pairs, w.renamings)):
-        left, right = s1.clauses[i], s2.clauses[j]
-        lseg = segment_clause(left, s1)
-        rseg = segment_clause(right, s2)
+        right = s2.clauses[j]
+        lseg, rseg = s1.segmented[i], s2.segmented[j]
         aligns = result.segment_alignments[idx]
         generalized: dict = {}
 

@@ -149,3 +149,29 @@ def test_paths_may_follow_options(tmp_path, capsys):
     assert code == 0
     (entry,) = json.loads(capsys.readouterr().out)["pairs"]
     assert {entry["left"]["file"], entry["right"]["file"]} == {left, right}
+
+
+def test_long_arithmetic_expression_is_analyzed(tmp_path, capsys):
+    total = "+".join(["1"] * 2000)
+    single = write(tmp_path, "one.pl", f"s(X) :- X is {total}.\n")
+    pair = write(tmp_path, "two.pl", f"s(X) :- X is {total}.\nt(Y) :- Y is {total}.\n")
+    assert main([single]) == 0
+    assert main([single, "--no-normalize"]) == 0
+    capsys.readouterr()
+    for options in ([], ["--no-normalize"]):
+        assert main([pair, "--format", "json", *options]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["pairs"]
+        assert entry["closeness"] == [1.0, 1.0]
+        assert entry["sigma"] == 4004
+
+
+def test_predicate_defined_in_two_files_is_warned(tmp_path, capsys):
+    left = write(tmp_path, "a.pl", "h(X,Y) :- X = Y.\n")
+    right = write(tmp_path, "b.pl", "h(X,Y) :- X = f(Y).\nk(X,Y) :- X = Y.\n")
+    warning = f"h/2 is defined in {left} and {right}; their clauses are merged"
+    assert main([left, right, "--threshold", "1", "--fp-threshold", "1"]) == 0
+    assert f"warning: {warning}\n" in capsys.readouterr().out
+    main([left, right, "--format", "json"])
+    assert json.loads(capsys.readouterr().out)["warnings"] == [warning]
+    main([right, "--format", "json"])
+    assert json.loads(capsys.readouterr().out)["warnings"] == []

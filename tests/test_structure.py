@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 
 from logdup import (
-    ArgPermutation, PredSymbol, closeness, common_core, find_structure_witnesses,
+    SCC, ArgPermutation, PredSymbol, closeness, common_core, find_structure_witnesses,
     identity_witness, normalize_program, parse_program, render_clause,
     scc_similarity, self_similarity, validate_witness,
 )
-from logdup import mutate_duplicate
+from logdup import mutate_duplicate, structure
 from logdup.depgraph import build_sccs, scc_of
+from logdup.metrics import DEFAULT_EXACT_GROUP_LIMIT, DEFAULT_EXACT_VARS_LIMIT
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, REV_ALL, scc_named
 from tests.test_acceptance import FIXTURE, FIXTURE_PREDS
 
@@ -164,6 +165,11 @@ def test_mutual_recursion_pair():
     assert result.closeness == (Fraction(1), Fraction(1))
 
 
+def _fresh(s):
+    """A copy of ``s`` that shares none of its cached values."""
+    return SCC(s.members, s.clauses)
+
+
 def _assert_closeness_is_best_witness(s1, s2):
     witnesses = list(find_structure_witnesses(s1, s2))
     result = closeness(s1, s2)
@@ -171,6 +177,9 @@ def _assert_closeness_is_best_witness(s1, s2):
         assert result is None
     else:
         assert result.sigma == max(scc_similarity(s1, s2, w) for w in witnesses)
+        assert result.denominators == (self_similarity(_fresh(s1)),
+                                       self_similarity(_fresh(s2)))
+        assert scc_similarity(s1, s2, result.witness) == result.sigma
 
 
 def test_closeness_maximizes_over_enumerated_witnesses():
@@ -190,3 +199,61 @@ def test_closeness_maximizes_over_witnesses_of_mutated_copies():
     for s1 in originals:
         for s2 in originals + copies:
             _assert_closeness_is_best_witness(s1, s2)
+
+
+WIDE_LEFT = """
+w6(A,B,C,D,E,F) :- A = [], B = C, D = E, F = 0.
+w6(A,B,C,D,E,F) :- A = [X|Xs], B = f(X), g(C,D), w6(Xs,C,B,E,D,F).
+"""
+
+WIDE_RIGHT = """
+v6(P,Q,R,S,T,U) :- P = [], Q = R, S = T, U = 0.
+v6(P,Q,R,S,T,U) :- P = [Y|Ys], Q = f(Y), g(R,S), v6(Ys,R,Q,T,S,U).
+"""
+
+
+def _counting(monkeypatch, name):
+    """Record the arguments of every call ``structure`` makes through its
+    module attribute ``name``."""
+    calls = []
+    function = getattr(structure, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(structure, name, counted)
+    return calls
+
+
+def test_closeness_scores_each_segment_pair_once(monkeypatch):
+    # 720 argument permutations per side; the segment similarity of a
+    # clause pair does not depend on them
+    s1 = scc_named(WIDE_LEFT, "w6", 6)
+    s2 = scc_named(WIDE_RIGHT, "v6", 6)
+    calls = _counting(monkeypatch, "goal_similarity")
+    result = closeness(s1, s2)
+    assert result.closeness == (Fraction(1), Fraction(1))
+    # the two compatible clause pairs have 1 and 2 segments, and each
+    # side's self-similarity scores its own 1 + 2 segments
+    assert len(calls) <= (1 + 2) + 2 * (1 + 2)
+
+
+def test_self_similarity_once_per_scc(monkeypatch, append_scc, concat_scc):
+    others = [concat_scc, mutate_duplicate(append_scc, 1)[0],
+              mutate_duplicate(concat_scc, 2)[0]]
+    calls = _counting(monkeypatch, "scc_similarity")
+    for other in others:
+        assert closeness(append_scc, other).closeness == (Fraction(1), Fraction(1))
+    assert sum(1 for s1, s2, *_ in calls if s1 is append_scc and s2 is append_scc) == 1
+
+
+def test_self_similarity_cache_is_keyed_by_limits(monkeypatch, add1_scc):
+    calls = _counting(monkeypatch, "scc_similarity")
+    default = self_similarity(add1_scc)
+    limited = self_similarity(add1_scc, 1, 1)
+    assert limited == self_similarity(_fresh(add1_scc), 1, 1)
+    assert default == self_similarity(add1_scc) == 26
+    assert self_similarity(add1_scc, 1, 1) == limited
+    limits = [args[3:] for args in calls if args[0] is add1_scc]
+    assert limits == [(DEFAULT_EXACT_VARS_LIMIT, DEFAULT_EXACT_GROUP_LIMIT), (1, 1)]
