@@ -6,12 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .depgraph import SCC, ClauseSegments, build_sccs, segment_clause
 from .metrics import goal_similarity, max_weight_matching, msg
 from .normalize import is_normal_atom, normalize_program
-from .syntax import EQ, Clause, Goal, PredSymbol, Program, Struct
+from .syntax import Clause, Goal, PredSymbol, Program, Struct
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,20 @@ class PredicatePrint:
 class SCCPrint:
     prints: tuple  # canonically sorted tuple[PredicatePrint, ...] (a multiset)
 
+    @cached_property
+    def symbols(self) -> dict:
+        """The sum of every goalprint in the print, per symbol."""
+        counts: dict = {}
+        for pp in self.prints:
+            for cp in pp.prints:
+                for gp in cp.prints:
+                    for sym, n in gp.items:
+                        counts[sym] = counts.get(sym, 0) + n
+        return counts
+
     @property
     def total(self) -> int:
-        return sum(p.total for p in self.prints)
+        return sum(self.symbols.values())
 
     def render(self) -> str:
         return "[" + "|".join(p.render() for p in self.prints) + "]"
@@ -112,15 +124,19 @@ def goalprint(goal: Goal) -> GoalPrint:
     unification adds one to '=' plus the functors on either side, so a
     bare X = Y contributes the '=' alone.
     """
-    counts: dict = {}
     for atom in goal.atoms:
         if not is_normal_atom(atom):
             raise ValueError(f"atom is not in normal form: {atom}")
-        if atom.pred == EQ:
-            counts[("=", 2)] = counts.get(("=", 2), 0) + 1
-        else:
-            key = (atom.pred.name, atom.pred.arity)
-            counts[key] = counts.get(key, 0) + 1
+    return _count_symbols(goal)
+
+
+def _count_symbols(goal: Goal) -> GoalPrint:
+    """``goalprint``'s counting rule, for any goal: clauses compared
+    without normalization keep compound call arguments."""
+    counts: dict = {}
+    for atom in goal.atoms:
+        key = (atom.pred.name, atom.pred.arity)
+        counts[key] = counts.get(key, 0) + 1
         for arg in atom.args:
             _count_functors(arg, counts)
     return GoalPrint(tuple(sorted(counts.items())))
@@ -131,7 +147,7 @@ def clauseprint(clause: Clause, scc: SCC) -> ClausePrint:
 
 
 def _segments_print(seg: ClauseSegments) -> ClausePrint:
-    return ClausePrint(tuple(goalprint(q) for q in seg.segments))
+    return ClausePrint(tuple(_count_symbols(q) for q in seg.segments))
 
 
 def _canonical_key(cp: ClausePrint):
@@ -194,10 +210,21 @@ def fp_closeness(a: SCCPrint, b: SCCPrint) -> Optional[tuple]:
     g = scc_print_glb(a, b)
     if g is None:
         return None
-    m = g.total
-    left = Fraction(m, a.total) if a.total else Fraction(1)
-    right = Fraction(m, b.total) if b.total else Fraction(1)
-    return (left, right)
+    return (_ratio(g.total, a.total), _ratio(g.total, b.total))
+
+
+def symbol_bound(a: SCCPrint, b: SCCPrint) -> tuple:
+    """Upper bound of each component of ``fp_closeness(a, b)`` from
+    symbol counts alone.  The glbs that estimate keeps are disjoint
+    sub-multisets of each side's symbols, so they retain at most the
+    per-symbol minimum of the two sides' sums."""
+    theirs = b.symbols
+    m = sum(min(n, theirs[sym]) for sym, n in a.symbols.items() if sym in theirs)
+    return (_ratio(m, a.total), _ratio(m, b.total))
+
+
+def _ratio(kept: int, total: int) -> Fraction:
+    return Fraction(kept, total) if total else Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +248,9 @@ def candidate_pairs(program: Program, threshold=Fraction(1, 2),
 
     Normalizes (unless told otherwise), builds SCCs, buckets them by
     shape signature and emits pairs whose estimate's smaller component
-    reaches the threshold, best first.
+    reaches the threshold, best first.  A pair whose ``symbol_bound``
+    is already below the threshold is skipped without computing the
+    estimate.
     """
     if normalize:
         program = normalize_program(program)
@@ -239,6 +268,8 @@ def candidate_pairs(program: Program, threshold=Fraction(1, 2),
         for a in range(len(group)):
             for b in range(a + 1, len(group)):
                 i, j = group[a], group[b]
+                if min(symbol_bound(prints[i], prints[j])) < threshold:
+                    continue
                 est = fp_closeness(prints[i], prints[j])
                 if est is None:
                     continue

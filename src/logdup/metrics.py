@@ -4,11 +4,9 @@ similarly structured subgoals, renaming search and similarity."""
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .depgraph import SCC
 from .syntax import (
@@ -153,14 +151,62 @@ def shared_var_count(e1, e2) -> int:
 def max_weight_matching(weights) -> list | None:
     """Perfect matching of maximal total weight in a square table, as
     (row, column) pairs in row order.  A negative weight marks a
-    forbidden pair; None when the best matching still uses one."""
-    if not weights:
-        return []
-    rows, cols = linear_sum_assignment(np.array(weights), maximize=True)
-    pairs = [(int(r), int(c)) for r, c in zip(rows, cols)]
-    if any(weights[r][c] < 0 for r, c in pairs):
+    forbidden pair; None when the best matching still uses one.
+
+    Shortest augmenting paths on the negated table (Crouse 2016), one
+    row at a time.  Columns are scanned in the order scipy's
+    ``linear_sum_assignment`` scans them and an equal-cost tie goes to
+    an unassigned column, as there, so both pick the same matching among
+    equally heavy ones and witnesses do not depend on which one ran.
+    """
+    n = len(weights)
+    u = [0] * n  # row and column potentials
+    v = [0] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    path = [-1] * n
+    for cur in range(n):
+        shortest = [math.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        rows, cols = [], []
+        i, sink, min_val = cur, -1, 0
+        while sink < 0:
+            rows.append(i)
+            row, offset = weights[i], min_val - u[i]
+            lowest, index = math.inf, -1
+            for it, j in enumerate(remaining):
+                reduced = offset - row[j] - v[j]
+                if reduced < shortest[j]:
+                    path[j] = i
+                    shortest[j] = reduced
+                else:
+                    reduced = shortest[j]
+                if reduced < lowest or (reduced == lowest and row4col[j] < 0):
+                    lowest, index = reduced, it
+            min_val = lowest
+            j = remaining[index]
+            cols.append(j)
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if any(weights[r][c] < 0 for r, c in enumerate(col4row)):
         return None
-    return pairs
+    return list(enumerate(col4row))
 
 
 # ---------------------------------------------------------------------------

@@ -175,3 +175,22 @@ def test_predicate_defined_in_two_files_is_warned(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["warnings"] == [warning]
     main([right, "--format", "json"])
     assert json.loads(capsys.readouterr().out)["warnings"] == []
+
+
+def test_compound_call_argument_without_normalization(tmp_path, capsys):
+    single = write(tmp_path, "nn.pl", "p :- q([1,2]).\n")
+    assert main([single, "--no-normalize"]) == 0
+    pair = write(tmp_path, "pair.pl", "p :- q([1,2]).\nr :- q([1,2]).\n")
+    capsys.readouterr()
+    assert main([pair, "--no-normalize", "--format", "json"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["pairs"]
+    assert entry["closeness"] == [1.0, 1.0]
+    assert entry["fingerprint_estimate"] == [1.0, 1.0]
+
+
+def test_cli_import_loads_no_numeric_libraries():
+    # numpy and scipy took most of a run's start-up time when they were imported
+    probe = "import sys, logdup.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -1,15 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logdup import (
-    GoalPrint, PredSymbol, candidate_pairs, check_glb_conjecture, clauseprint,
-    fp_closeness, goalprint, mutate_duplicate,
+    ClausePrint, GoalPrint, PredicatePrint, PredSymbol, SCCPrint, candidate_pairs,
+    check_glb_conjecture, clauseprint, fp_closeness, goalprint, mutate_duplicate,
     normalize_program, parse_goal, parse_program, predicate_print, print_glb,
     scc_print,
 )
 from logdup.depgraph import build_sccs, scc_of
+from logdup.fingerprint import _shape_signature, symbol_bound
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL, scc_named
+from tests.test_acceptance import FIXTURE, _scale_corpus
 
 
 def _print_of(source, name, arity):
@@ -171,3 +174,61 @@ def test_glb_conjecture_counterexample_shape():
     if violation is not None:
         glb_print, gen_print = violation
         assert glb_print != gen_print
+
+
+_symbols = st.sampled_from([("=", 2), (".", 2), ("p", 1), ("q", 2), ("+", 2)])
+_goalprints = st.dictionaries(_symbols, st.integers(1, 3), max_size=4).map(
+    lambda counts: GoalPrint(tuple(sorted(counts.items()))))
+
+
+def _scc_print_of_shape(data, shape):
+    """An SCC print with one predicate per entry of ``shape``, one clause
+    per segment count in that entry."""
+    return SCCPrint(tuple(
+        PredicatePrint(tuple(
+            ClausePrint(tuple(data.draw(_goalprints) for _ in range(segments)))
+            for segments in clauses))
+        for clauses in shape))
+
+
+@given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3),
+                min_size=1, max_size=2), st.data())
+@settings(max_examples=200, deadline=None)
+def test_symbol_bound_is_at_least_the_estimate(shape, data):
+    a = _scc_print_of_shape(data, shape)
+    b = _scc_print_of_shape(data, shape)
+    estimate = fp_closeness(a, b)
+    if estimate is not None:
+        bound = symbol_bound(a, b)
+        assert bound[0] >= estimate[0] and bound[1] >= estimate[1]
+
+
+def _ungated_candidate_pairs(program, thresholds):
+    """Every same-bucket pair whose estimate reaches each threshold, in
+    the order ``candidate_pairs`` reports them, by SCC names."""
+    sccs = build_sccs(normalize_program(program))
+    buckets: dict = {}
+    for scc in sccs:
+        buckets.setdefault(_shape_signature(scc), []).append(scc)
+    estimates = []
+    for group in buckets.values():
+        group = sorted(group, key=lambda scc: scc.name())
+        for a in range(len(group)):
+            for b in range(a + 1, len(group)):
+                est = fp_closeness(scc_print(group[a]), scc_print(group[b]))
+                if est is not None:
+                    estimates.append((group[a].name(), group[b].name(), est))
+    estimates.sort(key=lambda t: (-min(t[2]), t[0], t[1]))
+    return {t: [e for e in estimates if min(e[2]) >= t] for t in thresholds}
+
+
+@pytest.mark.parametrize("source", [CORPUS, FIXTURE, _scale_corpus()],
+                         ids=["corpus", "acceptance-fixture", "scale-corpus"])
+def test_gated_candidate_pairs_equal_ungated(source):
+    program = parse_program(source)
+    thresholds = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+    expected = _ungated_candidate_pairs(program, thresholds)
+    for threshold in thresholds:
+        gated = [(l.name(), r.name(), est)
+                 for l, r, est in candidate_pairs(program, threshold)]
+        assert gated == expected[threshold]

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +9,7 @@ from logdup import (
     maximal_similar_subgoals, msg, nodes, parse_clause, parse_goal,
     predicate_multiset, shared_var_count, strict_commonality, total_nodes,
 )
-from logdup.metrics import enumerate_renamings
+from logdup.metrics import enumerate_renamings, max_weight_matching
 
 Q1 = "p(f(X),g(Y,h(Z,a))), q(Z,X)"
 Q2 = "p(f(T),g(T,h(Z,b))), q(Z,T)"
@@ -192,3 +195,50 @@ def test_goal_similarity_symmetry_and_bound(shape, data):
         assert v12 == v21
     left, right = maximal_similar_subgoals(g1, g2)
     assert v12 <= min(total_nodes(left), total_nodes(right))
+
+
+def _weight_tables(seed, count, max_n):
+    """Square integer tables with many ties and forbidden (-1) cells."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        high = rng.choice((1, 2, 3, 20, 1000))
+        forbidden = rng.choice((0, 0.1, 0.3, 0.6))
+        yield [[-1 if rng.random() < forbidden else rng.randint(0, high)
+                for _ in range(n)] for _ in range(n)]
+
+
+def test_max_weight_matching_of_empty_table():
+    assert max_weight_matching([]) == []
+
+
+def test_max_weight_matching_is_optimal():
+    for weights in _weight_tables(5, 2000, 6):
+        n = len(weights)
+        totals = {perm: sum(weights[r][c] for r, c in enumerate(perm))
+                  for perm in itertools.permutations(range(n))}
+        best = max(totals.values())
+        optimal = [perm for perm, total in totals.items() if total == best]
+        allowed = [perm for perm in optimal
+                   if all(weights[r][c] >= 0 for r, c in enumerate(perm))]
+        result = max_weight_matching(weights)
+        if result is None:
+            assert len(allowed) < len(optimal)
+        else:
+            assert [r for r, _ in result] == list(range(n))
+            assert tuple(c for _, c in result) in allowed
+        if not allowed:
+            assert result is None
+        if len(allowed) == len(optimal):
+            assert result is not None
+
+
+def test_max_weight_matching_breaks_ties_as_scipy_does():
+    np = pytest.importorskip("numpy")
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    for weights in _weight_tables(11, 5000, 10):
+        rows, cols = scipy_optimize.linear_sum_assignment(np.array(weights), maximize=True)
+        expected = [(int(r), int(c)) for r, c in zip(rows, cols)]
+        if any(weights[r][c] < 0 for r, c in expected):
+            expected = None
+        assert max_weight_matching(weights) == expected
