@@ -22,7 +22,7 @@ from .structure import (
 from .syntax import (
     Atom, Clause, Goal, Num, PredSymbol, Program, PrologSyntaxError, Struct,
     Var, parse_clause, parse_goal, parse_program, parse_term, render_atom,
-    render_clause, render_program, render_term,
+    render_clause, render_term,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -405,63 +405,140 @@ def _best_pairing(table: list, rho: dict):
     return total, tuple(pairing)
 
 
+def _group_optimum(weights) -> int:
+    """Weight of a maximal same-predicate pairing of one group."""
+    if len(weights) == 1:
+        return weights[0][0]
+    if len(weights) == 2:
+        (a, b), (c, d) = weights
+        return max(a + d, b + c)
+    return sum(weights[r][c] for r, c in max_weight_matching(weights))
+
+
+class _WeightRows:
+    """The weight tables ``_best_pairing`` builds, kept up to date while a
+    partial renaming grows and shrinks one binding at a time.
+
+    A cell starts at its coinciding nodes plus all its variable pairs, as
+    if every variable were unbound.  ``bind(x, y)`` takes off, in the cells
+    whose pairs mention x only, the pairs (x, y') with y' != y, and solves
+    again only the groups that changed; ``unbind`` undoes the latest
+    binding from its undo record.  ``total`` always equals
+    ``_best_pairing(table, rho)[0]`` for the bindings in force.
+    """
+
+    def __init__(self, table: list):
+        self.weights = []
+        # x -> [(group, [(weight row, column, pairs of x, {y: pairs (x, y)})])]
+        self._cells: dict = {}
+        for g, (_, _, cells) in enumerate(table):
+            weights = []
+            by_var: dict = {}
+            for row in cells:
+                weight_row = [matched + len(pairs) for matched, pairs in row]
+                for b, (_, pairs) in enumerate(row):
+                    counts: dict = {}
+                    for x, y in pairs:
+                        images = counts.setdefault(x, {})
+                        images[y] = images.get(y, 0) + 1
+                    for x, images in counts.items():
+                        by_var.setdefault(x, []).append(
+                            (weight_row, b, sum(images.values()), images))
+                weights.append(weight_row)
+            self.weights.append(weights)
+            for x, entries in by_var.items():
+                self._cells.setdefault(x, []).append((g, entries))
+        self.optimum = [_group_optimum(w) for w in self.weights]
+        self.total = sum(self.optimum)
+        self._undo: list = []
+
+    def bind(self, x: str, y: str) -> None:
+        changed, solved = [], []
+        for g, entries in self._cells.get(x, ()):
+            hit = False
+            for row, b, n, images in entries:
+                drop = n - images.get(y, 0)
+                if drop:
+                    row[b] -= drop
+                    changed.append((row, b, drop))
+                    hit = True
+            if hit:
+                solved.append((g, self.optimum[g]))
+                optimum = _group_optimum(self.weights[g])
+                self.total += optimum - self.optimum[g]
+                self.optimum[g] = optimum
+        self._undo.append((changed, solved))
+
+    def unbind(self) -> None:
+        changed, solved = self._undo.pop()
+        for row, b, drop in changed:
+            row[b] += drop
+        for g, optimum in solved:
+            self.total += optimum - self.optimum[g]
+            self.optimum[g] = optimum
+
+
 def _directed_commonality(q1: Goal, q2: Goal, vars_limit: int, group_limit: int):
     """Max strict commonality over renamings vars(q1)->vars(q2) and
-    permutations of q2, assuming Pi(q1) == Pi(q2)."""
+    permutations of q2, assuming Pi(q1) == Pi(q2).
+
+    Variables are bound in sorted order, each to the images in sorted
+    order, so the first optimum found is the witness.  Within the exact
+    limits a branch-and-bound prunes on ``_WeightRows.total``; beyond
+    them each variable greedily takes the image with the best bound.
+    """
     n = len(q1.atoms)
     if n == 0:
         return GoalAlignment(value=0)
     base = n - 1
     table = _alignment_table(q1, q2)
+    rows = _WeightRows(table)
     v1 = sorted(var_names(q1))
     v2 = sorted(var_names(q2))
-    exact = (len(v1) <= vars_limit
-             and max((len(g[0]) for g in table), default=0) <= group_limit)
+    rho: dict = {}
+    used: set = set()
 
-    if not exact:
-        rho: dict = {}
-        used: set = set()
+    if not (len(v1) <= vars_limit
+            and max((len(g[0]) for g in table), default=0) <= group_limit):
         for x in v1:
             best_y, best_s = None, -1
             for y in v2:
                 if y in used:
                     continue
-                rho[x] = y
-                s, _ = _best_pairing(table, rho)
-                if s > best_s:
-                    best_s, best_y = s, y
+                rows.bind(x, y)
+                if rows.total > best_s:
+                    best_s, best_y = rows.total, y
+                rows.unbind()
+            rows.bind(x, best_y)
             rho[x] = best_y
             used.add(best_y)
         value, pairing = _best_pairing(table, rho)
         return GoalAlignment(tuple(sorted(rho.items())), pairing,
                              base + value, approximate=True)
 
-    best = {"value": -1, "rho": None, "pairing": None}
-    rho: dict = {}
-    used: set = set()
+    best_value, best_rho = -1, None
 
     def search(idx: int):
-        bound, pairing = _best_pairing(table, rho)
-        if base + bound <= best["value"]:
-            return
+        nonlocal best_value, best_rho
         if idx == len(v1):
-            best["value"] = base + bound
-            best["rho"] = dict(rho)
-            best["pairing"] = pairing
+            best_value, best_rho = base + rows.total, dict(rho)
             return
         x = v1[idx]
         for y in v2:
             if y in used:
                 continue
-            rho[x] = y
-            used.add(y)
-            search(idx + 1)
-            del rho[x]
-            used.discard(y)
+            rows.bind(x, y)
+            if base + rows.total > best_value:
+                rho[x] = y
+                used.add(y)
+                search(idx + 1)
+                del rho[x]
+                used.discard(y)
+            rows.unbind()
 
     search(0)
-    return GoalAlignment(tuple(sorted(best["rho"].items())), best["pairing"],
-                         best["value"])
+    _, pairing = _best_pairing(table, best_rho)
+    return GoalAlignment(tuple(sorted(best_rho.items())), pairing, best_value)
 
 
 def commonality(q1: Goal, q2: Goal,
@@ -469,10 +546,12 @@ def commonality(q1: Goal, q2: Goal,
                 group_limit: int = DEFAULT_EXACT_GROUP_LIMIT):
     """Commonality C (Definition 4) with a witness.
 
-    The renaming always runs from the goal with fewer variables; with
-    equal counts both directions are computed and the maximum taken.
-    Beyond the exact-mode limits the result is a greedy lower bound and
-    the witness is flagged approximate.
+    The renaming always runs from the goal with fewer variables.  With
+    equal counts an exact search runs from q1 only: a full renaming is
+    then a bijection, so the search from q2 ranges over the inverse
+    renamings and reaches the same value.  Beyond the exact-mode limits
+    the result is a greedy lower bound, both directions are searched and
+    the larger taken, and the witness is flagged approximate.
     """
     if predicate_multiset(q1) != predicate_multiset(q2):
         raise ValueError("commonality requires similarly structured goals")
@@ -486,6 +565,8 @@ def commonality(q1: Goal, q2: Goal,
                                 a.value, swapped=True, approximate=a.approximate)
         return a.value, flipped
     fwd = _directed_commonality(q1, q2, vars_limit, group_limit)
+    if not fwd.approximate:
+        return fwd.value, fwd
     rev = _directed_commonality(q2, q1, vars_limit, group_limit)
     if rev.value > fwd.value:
         flipped = GoalAlignment(rev.renaming, tuple(sorted((i, j) for j, i in rev.atom_pairing)),

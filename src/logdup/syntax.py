@@ -530,15 +530,6 @@ def render_clause(clause: Clause) -> str:
     return f"{head} :- {body}."
 
 
-def render_program(program: Program) -> str:
-    lines = []
-    for clauses in program.predicates.values():
-        for c in clauses:
-            lines.append(render_clause(c))
-        lines.append("")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Structural helpers shared by the analysis modules
 # ---------------------------------------------------------------------------

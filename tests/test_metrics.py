@@ -2,14 +2,20 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from logdup import (
-    Atom, Goal, Num, PredSymbol, Struct, Var, commonality, goal_similarity,
+    Atom, Goal, GoalAlignment, Num, PredSymbol, Struct, Var,
+    brute_force_commonality, commonality, goal_similarity,
     maximal_similar_subgoals, msg, nodes, parse_clause, parse_goal,
     predicate_multiset, shared_var_count, strict_commonality, total_nodes,
 )
-from logdup.metrics import enumerate_renamings, max_weight_matching
+from logdup import metrics
+from logdup.metrics import (
+    DEFAULT_EXACT_GROUP_LIMIT, DEFAULT_EXACT_VARS_LIMIT, _alignment_table,
+    _best_pairing, _WeightRows, enumerate_renamings, max_weight_matching,
+)
+from logdup.syntax import var_names
 
 Q1 = "p(f(X),g(Y,h(Z,a))), q(Z,X)"
 Q2 = "p(f(T),g(T,h(Z,b))), q(Z,T)"
@@ -242,3 +248,191 @@ def test_max_weight_matching_breaks_ties_as_scipy_does():
         if any(weights[r][c] < 0 for r, c in expected):
             expected = None
         assert max_weight_matching(weights) == expected
+
+
+# ---------------------------------------------------------------------------
+# Commonality search: one direction, incremental weight rows
+# ---------------------------------------------------------------------------
+
+def _reference_directed_commonality(q1, q2, vars_limit, group_limit):
+    """The branch-and-bound as it was before the incremental weight rows:
+    a full ``_best_pairing`` at every node.  Kept as the reference the
+    witnesses must agree with."""
+    n = len(q1.atoms)
+    if n == 0:
+        return GoalAlignment(value=0)
+    base = n - 1
+    table = _alignment_table(q1, q2)
+    v1 = sorted(var_names(q1))
+    v2 = sorted(var_names(q2))
+    exact = (len(v1) <= vars_limit
+             and max((len(g[0]) for g in table), default=0) <= group_limit)
+
+    if not exact:
+        rho: dict = {}
+        used: set = set()
+        for x in v1:
+            best_y, best_s = None, -1
+            for y in v2:
+                if y in used:
+                    continue
+                rho[x] = y
+                s, _ = _best_pairing(table, rho)
+                if s > best_s:
+                    best_s, best_y = s, y
+            rho[x] = best_y
+            used.add(best_y)
+        value, pairing = _best_pairing(table, rho)
+        return GoalAlignment(tuple(sorted(rho.items())), pairing,
+                             base + value, approximate=True)
+
+    best = {"value": -1, "rho": None, "pairing": None}
+    rho: dict = {}
+    used: set = set()
+
+    def search(idx: int):
+        bound, pairing = _best_pairing(table, rho)
+        if base + bound <= best["value"]:
+            return
+        if idx == len(v1):
+            best["value"] = base + bound
+            best["rho"] = dict(rho)
+            best["pairing"] = pairing
+            return
+        x = v1[idx]
+        for y in v2:
+            if y in used:
+                continue
+            rho[x] = y
+            used.add(y)
+            search(idx + 1)
+            del rho[x]
+            used.discard(y)
+
+    search(0)
+    return GoalAlignment(tuple(sorted(best["rho"].items())), best["pairing"],
+                         best["value"])
+
+
+def _reference_commonality(q1, q2, vars_limit, group_limit):
+    """``commonality`` as it was before: both directions on equal counts."""
+    k1, k2 = len(var_names(q1)), len(var_names(q2))
+    if k1 < k2:
+        return _reference_directed_commonality(q1, q2, vars_limit, group_limit)
+    if k1 > k2:
+        a = _reference_directed_commonality(q2, q1, vars_limit, group_limit)
+        return GoalAlignment(a.renaming, tuple(sorted((i, j) for j, i in a.atom_pairing)),
+                             a.value, swapped=True, approximate=a.approximate)
+    fwd = _reference_directed_commonality(q1, q2, vars_limit, group_limit)
+    rev = _reference_directed_commonality(q2, q1, vars_limit, group_limit)
+    if rev.value > fwd.value:
+        return GoalAlignment(rev.renaming, tuple(sorted((i, j) for j, i in rev.atom_pairing)),
+                             rev.value, swapped=True, approximate=rev.approximate)
+    return fwd
+
+
+def _random_term(rng, names, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.45:
+        return Var(rng.choice(names))
+    if roll < 0.6:
+        return Struct(rng.choice("ab"), ())
+    if roll < 0.7:
+        return Num(rng.randint(0, 2))
+    return Struct(rng.choice("fg"), tuple(_random_term(rng, names, depth - 1)
+                                          for _ in range(rng.randint(1, 2))))
+
+
+def _similar_goal_pairs(seed, count):
+    """Similarly structured goal pairs with repeated predicates (groups of
+    up to 4 atoms), shared variables and many ties."""
+    rng = random.Random(seed)
+    preds = [("p", 2), ("q", 1), ("r", 3)]
+    pool = ["A", "B", "C", "D", "E", "F"]
+    for _ in range(count):
+        shape = [rng.choice(preds) for _ in range(rng.randint(1, 5))]
+        goals = []
+        for _ in range(2):
+            names = pool[:rng.randint(1, 5)]
+            order = rng.sample(shape, len(shape))
+            goals.append(Goal(tuple(
+                Atom(PredSymbol(name, arity),
+                     tuple(_random_term(rng, names, 2) for _ in range(arity)))
+                for name, arity in order)))
+        yield goals
+
+
+@pytest.mark.parametrize("vars_limit, group_limit", [(8, 6), (2, 1)])
+def test_commonality_witness_equals_reference(vars_limit, group_limit):
+    approximate = 0
+    for g1, g2 in _similar_goal_pairs(vars_limit * 100 + group_limit, 2000):
+        value, align = commonality(g1, g2, vars_limit, group_limit)
+        expected = _reference_commonality(g1, g2, vars_limit, group_limit)
+        assert align == expected and value == expected.value, (g1, g2)
+        approximate += align.approximate
+    # both the exact search and the greedy fallback are covered
+    assert (approximate == 0) == (vars_limit == 8)
+    assert vars_limit == 8 or approximate > 1000
+
+
+def test_commonality_searches_one_direction_on_equal_exact_counts(monkeypatch):
+    calls = []
+    directed = metrics._directed_commonality
+
+    def counted(*args):
+        calls.append(args)
+        return directed(*args)
+
+    monkeypatch.setattr(metrics, "_directed_commonality", counted)
+    g1 = parse_goal("p(a,f(A)), q(A,B)")
+    g2 = parse_goal("q(Y,Z), p(f(Y),a)")
+    value, align = commonality(g1, g2)
+    assert len(calls) == 1
+    assert (value, align.swapped, align.approximate) == (5, False, False)
+    # beyond the exact limits both greedy directions still run
+    calls.clear()
+    commonality(g1, g2, vars_limit=1)
+    assert len(calls) == 2
+
+
+@given(_shapes, st.data())
+@settings(max_examples=150, deadline=None)
+def test_directed_values_agree_on_equal_variable_counts(shape, data):
+    n_args = sum(arity for _, arity in shape)
+    args1 = data.draw(st.lists(_terms(1), min_size=n_args, max_size=n_args))
+    args2 = data.draw(st.lists(_terms(1), min_size=n_args, max_size=n_args))
+    g1 = _goal_for(shape, args1)
+    g2 = _goal_for(data.draw(st.permutations(shape)), args2)
+    assume(len(var_names(g1)) == len(var_names(g2)))
+    limits = (DEFAULT_EXACT_VARS_LIMIT, DEFAULT_EXACT_GROUP_LIMIT)
+    fwd = metrics._directed_commonality(g1, g2, *limits)
+    rev = metrics._directed_commonality(g2, g1, *limits)
+    assert not (fwd.approximate or rev.approximate)
+    assert fwd.value == rev.value == brute_force_commonality(g1, g2)
+
+
+@given(_shapes, st.data())
+@settings(max_examples=150, deadline=None)
+def test_weight_rows_track_best_pairing_under_bind_and_unbind(shape, data):
+    n_args = sum(arity for _, arity in shape)
+    args1 = data.draw(st.lists(_terms(), min_size=n_args, max_size=n_args))
+    args2 = data.draw(st.lists(_terms(), min_size=n_args, max_size=n_args))
+    g1 = _goal_for(shape, args1)
+    g2 = _goal_for(data.draw(st.permutations(shape)), args2)
+    table = _alignment_table(g1, g2)
+    rows = _WeightRows(table)
+    v1, v2 = var_names(g1), var_names(g2) or ["Y"]
+    bound: list = []
+    rho: dict = {}
+    assert rows.total == _best_pairing(table, rho)[0]
+    for _ in range(data.draw(st.integers(0, 12))):
+        free = [x for x in v1 if x not in rho]
+        if free and (not bound or data.draw(st.booleans())):
+            x, y = data.draw(st.sampled_from(free)), data.draw(st.sampled_from(v2))
+            rows.bind(x, y)
+            rho[x] = y
+            bound.append(x)
+        elif bound:
+            rows.unbind()
+            del rho[bound.pop()]
+        assert rows.total == _best_pairing(table, rho)[0]
