@@ -125,7 +125,7 @@ def analyze(program: Program, config: Config) -> list:
     entries sorted best first."""
     if config.normalize:
         program = normalize_program(program)
-    candidates = candidate_pairs(program, config.fp_threshold, normalize=False)
+    candidates = candidate_pairs(program, config.fp_threshold)
     entries = []
     for left, right, estimate in candidates:
         result = closeness(left, right,

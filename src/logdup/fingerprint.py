@@ -11,7 +11,7 @@ from typing import Optional
 
 from .depgraph import SCC, ClauseSegments, build_sccs, segment_clause
 from .metrics import goal_similarity, max_weight_matching, msg
-from .normalize import is_normal_atom, normalize_program
+from .normalize import is_normal_atom
 from .syntax import Clause, Goal, PredSymbol, Program, Struct
 
 
@@ -242,18 +242,15 @@ def _shape_signature(scc: SCC):
     return tuple(sorted(per_pred))
 
 
-def candidate_pairs(program: Program, threshold=Fraction(1, 2),
-                    normalize: bool = True) -> tuple:
-    """Cheap pre-filter over a whole program.
+def candidate_pairs(program: Program, threshold=Fraction(1, 2)) -> tuple:
+    """Cheap pre-filter over a whole program, taken as given (normalize
+    it first for the paper's prints).
 
-    Normalizes (unless told otherwise), builds SCCs, buckets them by
-    shape signature and emits pairs whose estimate's smaller component
-    reaches the threshold, best first.  A pair whose ``symbol_bound``
-    is already below the threshold is skipped without computing the
-    estimate.
+    Builds SCCs, buckets them by shape signature and emits pairs whose
+    estimate's smaller component reaches the threshold, best first.  A
+    pair whose ``symbol_bound`` is already below the threshold is
+    skipped without computing the estimate.
     """
-    if normalize:
-        program = normalize_program(program)
     sccs = build_sccs(program)
     # SCCs are keyed by position: hashing one hashes every term in it
     buckets: dict = {}

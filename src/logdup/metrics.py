@@ -556,23 +556,17 @@ def commonality(q1: Goal, q2: Goal,
     if predicate_multiset(q1) != predicate_multiset(q2):
         raise ValueError("commonality requires similarly structured goals")
     k1, k2 = len(var_names(q1)), len(var_names(q2))
-    if k1 < k2:
-        a = _directed_commonality(q1, q2, vars_limit, group_limit)
-        return a.value, a
-    if k1 > k2:
-        a = _directed_commonality(q2, q1, vars_limit, group_limit)
-        flipped = GoalAlignment(a.renaming, tuple(sorted((i, j) for j, i in a.atom_pairing)),
-                                a.value, swapped=True, approximate=a.approximate)
-        return a.value, flipped
-    fwd = _directed_commonality(q1, q2, vars_limit, group_limit)
-    if not fwd.approximate:
-        return fwd.value, fwd
+    fwd = None
+    if k1 <= k2:
+        fwd = _directed_commonality(q1, q2, vars_limit, group_limit)
+        if k1 < k2 or not fwd.approximate:
+            return fwd.value, fwd
     rev = _directed_commonality(q2, q1, vars_limit, group_limit)
-    if rev.value > fwd.value:
-        flipped = GoalAlignment(rev.renaming, tuple(sorted((i, j) for j, i in rev.atom_pairing)),
-                                rev.value, swapped=True, approximate=rev.approximate)
-        return rev.value, flipped
-    return fwd.value, fwd
+    if fwd is not None and rev.value <= fwd.value:
+        return fwd.value, fwd
+    flipped = GoalAlignment(rev.renaming, tuple(sorted((i, j) for j, i in rev.atom_pairing)),
+                            rev.value, swapped=True, approximate=rev.approximate)
+    return rev.value, flipped
 
 
 def goal_similarity(q1: Goal, q2: Goal,

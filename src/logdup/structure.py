@@ -11,7 +11,7 @@ from typing import Optional
 from .depgraph import SCC, ClauseSegments
 from .metrics import (
     DEFAULT_EXACT_GROUP_LIMIT, DEFAULT_EXACT_VARS_LIMIT, anti_unify, atom_to_term,
-    goal_similarity, max_weight_matching, strict_commonality,
+    goal_similarity, max_weight_matching, total_nodes,
 )
 from .syntax import (
     Atom, Clause, Goal, PredSymbol, Var, align, rename_vars, var_names,
@@ -264,18 +264,20 @@ def validate_witness(s1: SCC, s2: SCC, w: StructureWitness) -> bool:
 # Similarity and closeness
 # ---------------------------------------------------------------------------
 
-# The Definition-9 contribution of a mapped clause pair is the sum of two
-# parts.  The segment part depends on the two clauses alone, so closeness
-# computes it once per clause pair and reuses it for every (predicate
-# bijection, argument permutation) combination; only the call part
-# depends on pi and rho.
+# The Definition-9 contribution of a mapped clause pair is the clause
+# neck, the strict commonality of the heads and of the recursive calls
+# under the witness, and the similarity of each segment pair.  A witness
+# maps the left head and recursive calls onto the right ones exactly, so
+# their strict commonality is the node total of the right ones whatever
+# the witness: the whole contribution depends on the two clauses alone,
+# and closeness computes it once per clause pair.
 
-def _segment_score(lseg: ClauseSegments, rseg: ClauseSegments,
-                   vars_limit: int, group_limit: int):
-    """The clause-neck node plus the goal similarity of each segment
-    pair, with the alignments that realize it and whether any of them is
-    approximate."""
-    score = 1  # the clause-neck node
+def _clause_pair_score(lseg: ClauseSegments, rseg: ClauseSegments,
+                       vars_limit: int, group_limit: int):
+    """The Definition-9 contribution of a clause pair mapped by some
+    witness, with the segment alignments that realize it and whether any
+    of them is approximate."""
+    score = 1 + sum(total_nodes(a) for a in (rseg.head,) + rseg.recursive_calls)
     alignments = []
     approximate = False
     for lq, rq in zip(lseg.segments, rseg.segments):
@@ -286,31 +288,14 @@ def _segment_score(lseg: ClauseSegments, rseg: ClauseSegments,
     return score, tuple(alignments), approximate
 
 
-def _call_score(lseg: ClauseSegments, rseg: ClauseSegments,
-                pred_map: dict, perms: dict, rho: dict) -> int:
-    """Strict commonality of the heads and of the recursive calls, the
-    left ones under pi and rho."""
-    rho_vars = {k: Var(v) for k, v in rho.items()}
-    lefts = (lseg.head,) + lseg.recursive_calls
-    rights = (rseg.head,) + rseg.recursive_calls
-    return sum(strict_commonality(rename_vars(_transform_atom(la, pred_map, perms), rho_vars), ra)
-               for la, ra in zip(lefts, rights))
-
-
 def scc_similarity(s1: SCC, s2: SCC, w: StructureWitness,
                    vars_limit: int = DEFAULT_EXACT_VARS_LIMIT,
                    group_limit: int = DEFAULT_EXACT_GROUP_LIMIT) -> int:
     """Similarity sigma([p],[p'],phi) for a given witness."""
     if not validate_witness(s1, s2, w):
         raise ValueError("invalid structure witness")
-    pred_map = w.clause_mapping.pred_dict
-    perms = w.perm_dict
-    total = 0
-    for (i, j), rho_items in zip(w.clause_mapping.pairs, w.renamings):
-        lseg, rseg = s1.segmented[i], s2.segmented[j]
-        total += (_segment_score(lseg, rseg, vars_limit, group_limit)[0]
-                  + _call_score(lseg, rseg, pred_map, perms, dict(rho_items)))
-    return total
+    return sum(_clause_pair_score(s1.segmented[i], s2.segmented[j], vars_limit, group_limit)[0]
+               for i, j in w.clause_mapping.pairs)
 
 
 def identity_witness(s: SCC) -> StructureWitness:
@@ -351,29 +336,27 @@ def closeness(s1: SCC, s2: SCC,
     sigma exactly in polynomial time per combination."""
     best = None
     truncated = False
-    segment_scores: dict = {}  # (i, j) -> _segment_score of that clause pair
+    scores: dict = {}  # (i, j) -> _clause_pair_score of that clause pair
     for count, (pred_map, perms, approx, groups, rhos) in enumerate(
             _witness_combos(s1, s2, arity_limit)):
         if count == witness_cap:
             truncated = True
             break
-        scored = {}
-        for (i, j), rho in rhos.items():
-            lseg, rseg = s1.segmented[i], s2.segmented[j]
-            if (i, j) not in segment_scores:
-                segment_scores[i, j] = _segment_score(lseg, rseg, vars_limit, group_limit)
-            scored[i, j] = segment_scores[i, j][0] + _call_score(lseg, rseg, pred_map, perms, rho)
+        for i, j in rhos:
+            if (i, j) not in scores:
+                scores[i, j] = _clause_pair_score(s1.segmented[i], s2.segmented[j],
+                                                  vars_limit, group_limit)
         total = 0
         mapping = []
         for left, right in groups:
             matching = max_weight_matching(
-                [[scored.get((i, j), -1) for j in right] for i in left])
+                [[scores[i, j][0] if (i, j) in rhos else -1 for j in right] for i in left])
             if matching is None:
                 break
             for a, b in matching:
                 i, j = left[a], right[b]
-                _, aligns, pair_approx = segment_scores[i, j]
-                total += scored[i, j]
+                score, aligns, pair_approx = scores[i, j]
+                total += score
                 approx = approx or pair_approx
                 mapping.append((i, j, rhos[i, j], aligns))
         else:
@@ -405,37 +388,24 @@ def common_core(s1: SCC, s2: SCC, result: SimilarityResult) -> tuple:
     survive, anti-unified pairwise."""
     if result.approximate:
         raise ValueError("refusing to extract a common core from an approximate result")
-    w = result.witness
-    pred_map = w.clause_mapping.pred_dict
-    perms = w.perm_dict
+    pred_map = result.witness.clause_mapping.pred_dict
     fresh = {pred_map[q]: PredSymbol(f"core_{q.name}_{pred_map[q].name}", q.arity)
              for q in s1.members}
 
     clauses = []
-    for idx, ((i, j), rho_items) in enumerate(zip(w.clause_mapping.pairs, w.renamings)):
-        right = s2.clauses[j]
+    for (i, j), aligns in zip(result.witness.clause_mapping.pairs, result.segment_alignments):
         lseg, rseg = s1.segmented[i], s2.segmented[j]
-        aligns = result.segment_alignments[idx]
         generalized: dict = {}
-
-        def anti_atom(a: Atom, b: Atom) -> Atom:
-            return Atom(b.pred, tuple(anti_unify(x, y, "G", generalized)
-                                      for x, y in zip(a.args, b.args)))
-
-        rho_vars = {k: Var(v) for k, v in rho_items}
         body_atoms = []
         for si, (lq, rq, seg_align) in enumerate(zip(lseg.segments, rseg.segments, aligns)):
-            kept = [(ri, anti_atom(la, ra)) for (_, ri), (la, ra)
-                    in zip(seg_align.atom_pairing, seg_align.renamed_pairs(lq, rq))]
+            kept = []
+            for (_, ri), (la, ra) in zip(seg_align.atom_pairing, seg_align.renamed_pairs(lq, rq)):
+                args = tuple(anti_unify(x, y, "G", generalized) for x, y in zip(la.args, ra.args))
+                kept.append((ri, Atom(ra.pred, args)))
             body_atoms.extend(atom for _, atom in sorted(kept, key=lambda kv: kv[0]))
             if si < len(rseg.recursive_calls):
-                lcall = rename_vars(
-                    _transform_atom(lseg.recursive_calls[si], pred_map, perms), rho_vars)
                 rcall = rseg.recursive_calls[si]
-                gen = anti_atom(lcall, rcall)
-                body_atoms.append(Atom(fresh[rcall.pred], gen.args))
-        lhead = rename_vars(_transform_atom(lseg.head, pred_map, perms), rho_vars)
-        gen_head = anti_atom(lhead, rseg.head)
-        head = Atom(fresh[rseg.head.pred], gen_head.args)
-        clauses.append(Clause(head, Goal(tuple(body_atoms)), right.origin))
+                body_atoms.append(Atom(fresh[rcall.pred], rcall.args))
+        head = Atom(fresh[rseg.head.pred], rseg.head.args)
+        clauses.append(Clause(head, Goal(tuple(body_atoms)), s2.clauses[j].origin))
     return tuple(clauses)

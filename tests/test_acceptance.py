@@ -194,7 +194,7 @@ def test_criterion_07_mutation_round_trip():
                 for pred in scc.members:
                     predicates[pred] = scc.clauses_of(pred)
             pair_prog = Program(predicates, (), frozenset())
-            pairs = candidate_pairs(pair_prog, Fraction(1), normalize=False)
+            pairs = candidate_pairs(pair_prog, Fraction(1))
             assert any({l.name(), r.name()} == {original.name(), mutated.name()}
                        for l, r, _ in pairs), (name, seed)
             mutations += 1

@@ -136,7 +136,8 @@ def test_fp_closeness_of_empty_prints_is_one():
 
 
 def test_candidate_pairs_ranking():
-    program = parse_program(CORPUS + "reverse([],[]).\nreverse([X|Xs],R) :- reverse(Xs,T), app(T,[X],R).")
+    program = normalize_program(parse_program(
+        CORPUS + "reverse([],[]).\nreverse([X|Xs],R) :- reverse(Xs,T), app(T,[X],R)."))
     pairs = candidate_pairs(program, Fraction(1, 2))
     names = [(l.name(), r.name()) for l, r, _ in pairs]
     assert names[0] == ("[append/3]", "[concat/3]")
@@ -144,7 +145,7 @@ def test_candidate_pairs_ranking():
 
 
 def test_candidate_pairs_threshold_filters():
-    program = parse_program(REV_ALL + ADD1_AND_SQR)
+    program = normalize_program(parse_program(REV_ALL + ADD1_AND_SQR))
     assert candidate_pairs(program, Fraction(1)) == ()
     pairs = candidate_pairs(program, Fraction(1, 2))
     assert len(pairs) == 1
@@ -206,7 +207,7 @@ def test_symbol_bound_is_at_least_the_estimate(shape, data):
 def _ungated_candidate_pairs(program, thresholds):
     """Every same-bucket pair whose estimate reaches each threshold, in
     the order ``candidate_pairs`` reports them, by SCC names."""
-    sccs = build_sccs(normalize_program(program))
+    sccs = build_sccs(program)
     buckets: dict = {}
     for scc in sccs:
         buckets.setdefault(_shape_signature(scc), []).append(scc)
@@ -225,7 +226,7 @@ def _ungated_candidate_pairs(program, thresholds):
 @pytest.mark.parametrize("source", [CORPUS, FIXTURE, _scale_corpus()],
                          ids=["corpus", "acceptance-fixture", "scale-corpus"])
 def test_gated_candidate_pairs_equal_ungated(source):
-    program = parse_program(source)
+    program = normalize_program(parse_program(source))
     thresholds = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     expected = _ungated_candidate_pairs(program, thresholds)
     for threshold in thresholds:

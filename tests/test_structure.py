@@ -3,13 +3,17 @@ from fractions import Fraction
 import pytest
 
 from logdup import (
-    SCC, ArgPermutation, PredSymbol, closeness, common_core, find_structure_witnesses,
-    identity_witness, normalize_program, parse_program, render_clause,
-    scc_similarity, self_similarity, validate_witness,
+    SCC, ArgPermutation, Atom, Clause, ClauseSegments, Goal, PredSymbol,
+    SimilarityResult, Var, closeness, common_core, find_structure_witnesses,
+    goal_similarity, identity_witness, normalize_program, parse_program,
+    render_clause, scc_similarity, self_similarity, strict_commonality,
+    total_nodes, validate_witness,
 )
 from logdup import mutate_duplicate, structure
 from logdup.depgraph import build_sccs, scc_of
-from logdup.metrics import DEFAULT_EXACT_GROUP_LIMIT, DEFAULT_EXACT_VARS_LIMIT
+from logdup.metrics import DEFAULT_EXACT_GROUP_LIMIT, DEFAULT_EXACT_VARS_LIMIT, anti_unify
+from logdup.structure import _transform_atom
+from logdup.syntax import rename_vars
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, REV_ALL, scc_named
 from tests.test_acceptance import FIXTURE, FIXTURE_PREDS
 
@@ -257,3 +261,130 @@ def test_self_similarity_cache_is_keyed_by_limits(monkeypatch, add1_scc):
     assert self_similarity(add1_scc, 1, 1) == limited
     limits = [args[3:] for args in calls if args[0] is add1_scc]
     assert limits == [(DEFAULT_EXACT_VARS_LIMIT, DEFAULT_EXACT_GROUP_LIMIT), (1, 1)]
+
+
+# References for the witness invariant.  They transform and rename the
+# left head and recursive calls under the witness and then compare them
+# with the right ones (strict commonality) or anti-unify them.  Under a
+# witness the two sides are identical, so the call part is the right
+# ones' node total and the common core keeps the right ones unchanged.
+
+def _reference_segment_score(lseg: ClauseSegments, rseg: ClauseSegments,
+                             vars_limit: int, group_limit: int):
+    """The clause-neck node plus the goal similarity of each segment
+    pair, with the alignments that realize it and whether any of them is
+    approximate."""
+    score = 1  # the clause-neck node
+    alignments = []
+    approximate = False
+    for lq, rq in zip(lseg.segments, rseg.segments):
+        value, align = goal_similarity(lq, rq, vars_limit, group_limit)
+        score += value
+        alignments.append(align)
+        approximate = approximate or align.approximate
+    return score, tuple(alignments), approximate
+
+
+def _reference_call_score(lseg: ClauseSegments, rseg: ClauseSegments,
+                          pred_map: dict, perms: dict, rho: dict) -> int:
+    """Strict commonality of the heads and of the recursive calls, the
+    left ones under pi and rho."""
+    rho_vars = {k: Var(v) for k, v in rho.items()}
+    lefts = (lseg.head,) + lseg.recursive_calls
+    rights = (rseg.head,) + rseg.recursive_calls
+    return sum(strict_commonality(rename_vars(_transform_atom(la, pred_map, perms), rho_vars), ra)
+               for la, ra in zip(lefts, rights))
+
+
+def _reference_common_core(s1: SCC, s2: SCC, result: SimilarityResult) -> tuple:
+    """Generalize every mapped clause pair into a fresh common-core
+    predicate definition: heads and recursive calls are kept (renamed to
+    fresh predicates), and only the sigma-aligned atoms of each segment
+    survive, anti-unified pairwise."""
+    if result.approximate:
+        raise ValueError("refusing to extract a common core from an approximate result")
+    w = result.witness
+    pred_map = w.clause_mapping.pred_dict
+    perms = w.perm_dict
+    fresh = {pred_map[q]: PredSymbol(f"core_{q.name}_{pred_map[q].name}", q.arity)
+             for q in s1.members}
+
+    clauses = []
+    for idx, ((i, j), rho_items) in enumerate(zip(w.clause_mapping.pairs, w.renamings)):
+        right = s2.clauses[j]
+        lseg, rseg = s1.segmented[i], s2.segmented[j]
+        aligns = result.segment_alignments[idx]
+        generalized: dict = {}
+
+        def anti_atom(a: Atom, b: Atom) -> Atom:
+            return Atom(b.pred, tuple(anti_unify(x, y, "G", generalized)
+                                      for x, y in zip(a.args, b.args)))
+
+        rho_vars = {k: Var(v) for k, v in rho_items}
+        body_atoms = []
+        for si, (lq, rq, seg_align) in enumerate(zip(lseg.segments, rseg.segments, aligns)):
+            kept = [(ri, anti_atom(la, ra)) for (_, ri), (la, ra)
+                    in zip(seg_align.atom_pairing, seg_align.renamed_pairs(lq, rq))]
+            body_atoms.extend(atom for _, atom in sorted(kept, key=lambda kv: kv[0]))
+            if si < len(rseg.recursive_calls):
+                lcall = rename_vars(
+                    _transform_atom(lseg.recursive_calls[si], pred_map, perms), rho_vars)
+                rcall = rseg.recursive_calls[si]
+                gen = anti_atom(lcall, rcall)
+                body_atoms.append(Atom(fresh[rcall.pred], gen.args))
+        lhead = rename_vars(_transform_atom(lseg.head, pred_map, perms), rho_vars)
+        gen_head = anti_atom(lhead, rseg.head)
+        head = Atom(fresh[rseg.head.pred], gen_head.args)
+        clauses.append(Clause(head, Goal(tuple(body_atoms)), right.origin))
+    return tuple(clauses)
+
+
+def _assert_witnesses_make_calls_identical(s1, s2):
+    """Check every witness of (s1, s2) against the references; returns how
+    many witnesses there were."""
+    count = 0
+    for w in find_structure_witnesses(s1, s2):
+        count += 1
+        pred_map, perms = w.clause_mapping.pred_dict, w.perm_dict
+        sigma = 0
+        alignments = []
+        for (i, j), rho in zip(w.clause_mapping.pairs, w.renamings):
+            lseg, rseg = s1.segmented[i], s2.segmented[j]
+            calls = _reference_call_score(lseg, rseg, pred_map, perms, dict(rho))
+            assert calls == sum(total_nodes(a) for a in (rseg.head,) + rseg.recursive_calls)
+            assert calls == sum(total_nodes(a) for a in (lseg.head,) + lseg.recursive_calls)
+            segments, aligns, _ = _reference_segment_score(
+                lseg, rseg, DEFAULT_EXACT_VARS_LIMIT, DEFAULT_EXACT_GROUP_LIMIT)
+            sigma += segments + calls
+            alignments.append(aligns)
+        assert scc_similarity(s1, s2, w) == sigma
+        result = SimilarityResult(sigma, (Fraction(0), Fraction(0)), (0, 0), w,
+                                  tuple(alignments), approximate=w.approximate)
+        assert common_core(s1, s2, result) == _reference_common_core(s1, s2, result)
+    return count
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+def test_witness_invariant_on_fixture_pairs(normalize):
+    fixtures = [scc_named(APPEND, "append", 3, normalize), scc_named(CONCAT, "concat", 3, normalize),
+                scc_named(REV_ALL, "rev_all", 2, normalize),
+                scc_named(ADD1_AND_SQR, "add1_and_sqr", 2, normalize)]
+    assert sum(_assert_witnesses_make_calls_identical(s1, s2)
+               for s1 in fixtures for s2 in fixtures) > 0
+
+
+def test_witness_invariant_on_mutated_copies():
+    sccs = build_sccs(normalize_program(parse_program(FIXTURE)))
+    originals = [scc_of(sccs, PredSymbol(name, arity)) for name, arity in FIXTURE_PREDS]
+    copies = [mutate_duplicate(scc, seed)[0]
+              for seed, scc in enumerate(originals)]
+    for s1, copy in zip(originals, copies):
+        assert _assert_witnesses_make_calls_identical(s1, copy) > 0
+        for s2 in originals + copies:
+            _assert_witnesses_make_calls_identical(s1, s2)
+
+
+def test_witness_invariant_on_wide_pair():
+    s1 = scc_named(WIDE_LEFT, "w6", 6)
+    s2 = scc_named(WIDE_RIGHT, "v6", 6)
+    assert _assert_witnesses_make_calls_identical(s1, s2) > 0
