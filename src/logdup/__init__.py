@@ -16,8 +16,8 @@ from .normalize import is_normal_atom, normalize_clause, normalize_program
 from .oracle import brute_force_commonality, mutate_duplicate
 from .structure import (
     ArgPermutation, ClauseMapping, SimilarityResult, StructureWitness,
-    closeness, common_core, find_structure_witnesses, identity_witness,
-    scc_similarity, self_similarity, validate_witness,
+    closeness, common_core, identity_witness, scc_similarity, self_similarity,
+    validate_witness,
 )
 from .syntax import (
     Atom, Clause, Goal, Num, PredSymbol, Program, PrologSyntaxError, Struct,
@@ -25,4 +25,20 @@ from .syntax import (
     render_clause, render_term,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "SCC", "ClauseSegments", "build_sccs", "scc_of", "segment_clause",
+    "ClausePrint", "GoalPrint", "PredicatePrint", "SCCPrint",
+    "candidate_pairs", "check_glb_conjecture", "clauseprint", "fp_closeness",
+    "goalprint", "predicate_print", "print_glb", "scc_print", "scc_print_glb",
+    "GoalAlignment", "MsgResult", "commonality", "goal_similarity",
+    "maximal_similar_subgoals", "msg", "nodes", "predicate_multiset",
+    "shared_var_count", "strict_commonality", "total_nodes",
+    "var_occurrences", "is_normal_atom", "normalize_clause",
+    "normalize_program", "brute_force_commonality", "mutate_duplicate",
+    "ArgPermutation", "ClauseMapping", "SimilarityResult", "StructureWitness",
+    "closeness", "common_core", "identity_witness", "scc_similarity",
+    "self_similarity", "validate_witness", "Atom", "Clause", "Goal", "Num",
+    "PredSymbol", "Program", "PrologSyntaxError", "Struct", "Var",
+    "parse_clause", "parse_goal", "parse_program", "parse_term",
+    "render_atom", "render_clause", "render_term",
+]

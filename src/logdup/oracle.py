@@ -1,5 +1,6 @@
 """Reference implementations for property tests: an exhaustive
-commonality computation and a seeded generator of duplicated SCCs."""
+commonality computation, an enumerator of every structure witness and a
+seeded generator of duplicated SCCs."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ import string
 
 from .depgraph import SCC, segment_clause
 from .metrics import predicate_multiset, strict_commonality
-from .structure import ArgPermutation
+from .structure import (
+    DEFAULT_ARITY_LIMIT, DEFAULT_WITNESS_CAP, ArgPermutation, _witness, _witness_combos)
 from .syntax import Atom, Clause, Goal, PredSymbol, Var, rename_vars, var_names
 
 MAX_ORACLE_ATOMS = 5
@@ -49,6 +51,30 @@ def brute_force_commonality(q1: Goal, q2: Goal) -> int:
     if len(v2) < len(v1):
         return _directed_max(q2, q1)
     return max(_directed_max(q1, q2), _directed_max(q2, q1))
+
+
+# ---------------------------------------------------------------------------
+# Witness enumeration
+# ---------------------------------------------------------------------------
+
+def find_structure_witnesses(s1: SCC, s2: SCC,
+                             arity_limit: int = DEFAULT_ARITY_LIMIT,
+                             cap: int = DEFAULT_WITNESS_CAP):
+    """Enumerate Definition-8 witnesses in deterministic order: per live
+    (predicate bijection, argument permutations) combination, every
+    bijection of compatible clause pairs, in lexicographic order.  An
+    empty sequence means the SCCs do not share a recursive structure.  At
+    most ``cap`` combinations are examined."""
+    for pred_map, perms, approximate, groups, rhos in itertools.islice(
+            _witness_combos(s1, s2, arity_limit), cap):
+        if rhos is None:
+            continue
+        options = [[(i, j, rhos[i, j]) for j in right if (i, j) in rhos]
+                   for left, right in groups for i in left]
+        for mapping in itertools.product(*options):
+            if len({j for _, j, _ in mapping}) == len(mapping):
+                yield _witness(s1, pred_map, perms, sorted(mapping, key=lambda m: m[0]),
+                               approximate)
 
 
 # ---------------------------------------------------------------------------

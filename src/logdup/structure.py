@@ -13,9 +13,7 @@ from .metrics import (
     DEFAULT_EXACT_GROUP_LIMIT, DEFAULT_EXACT_VARS_LIMIT, anti_unify, atom_to_term,
     goal_similarity, max_weight_matching, total_nodes,
 )
-from .syntax import (
-    Atom, Clause, Goal, PredSymbol, Var, align, rename_vars, var_names,
-)
+from .syntax import Atom, Clause, Goal, PredSymbol, align, var_names
 
 DEFAULT_ARITY_LIMIT = 6
 DEFAULT_WITNESS_CAP = 10000
@@ -80,89 +78,78 @@ class SimilarityResult:
 # Witness machinery
 # ---------------------------------------------------------------------------
 
-def _transform_atom(atom: Atom, pred_map: dict, perms: dict) -> Atom:
-    """The A''_i construction: rename the predicate and permute the
-    arguments (variables untouched; the renaming is matched afterwards)."""
-    new_pred = pred_map[atom.pred]
-    perm = perms[atom.pred]
-    return Atom(new_pred, perm.apply(atom.args))
-
-
-def _match_renaming(pairs) -> Optional[dict]:
-    """Simultaneous first-order matching of (source, target) atom pairs.
-
-    Succeeds iff the atoms are structurally identical up to a consistent,
-    injective variable correspondence."""
-    rho: dict = {}
-    for src, dst in pairs:
-        _, var_pairs, exact = align(atom_to_term(src), atom_to_term(dst))
-        if not exact:
-            return None
-        for x, y in var_pairs:
-            if rho.setdefault(x, y) != y:
-                return None
-    if len(set(rho.values())) != len(rho):
-        return None
-    return rho
-
-
-def _clause_rho(lseg: ClauseSegments, rseg: ClauseSegments,
-                pred_map: dict, perms: dict) -> Optional[dict]:
-    """Renaming for one clause pair under fixed pi, or None."""
+def _arg_table(lseg: ClauseSegments, rseg: ClauseSegments) -> Optional[list]:
+    """Stage 1 of the witness search, shared by every combination: per
+    head or recursive-call atom pair, the two predicates and, per (left
+    position, right position), the ``align`` variable pairs of the two
+    arguments, or None where they differ in more than variable names.
+    None when the clauses have different numbers of recursive calls."""
     if len(lseg.recursive_calls) != len(rseg.recursive_calls):
         return None
-    pairs = [(_transform_atom(lseg.head, pred_map, perms), rseg.head)]
-    for la, ra in zip(lseg.recursive_calls, rseg.recursive_calls):
-        if pred_map.get(la.pred) != ra.pred:
+    return [(la.pred, ra.pred, [[pairs if exact else None
+                                 for _, pairs, exact in (align(x, y) for y in ra.args)]
+                                for x in la.args])
+            for la, ra in zip((lseg.head,) + lseg.recursive_calls,
+                              (rseg.head,) + rseg.recursive_calls)]
+
+
+def _table_rho(table: list, pred_map: dict, perms: dict) -> Optional[dict]:
+    """Stage 2: the consistent, injective renaming under which pi maps
+    the left head and recursive calls of a clause pair onto the right
+    ones, read from the pair's argument table; None when there is none."""
+    rho: dict = {}
+    for lpred, rpred, cells in table:
+        if pred_map[lpred] != rpred:
             return None
-        pairs.append((_transform_atom(la, pred_map, perms), ra))
-    return _match_renaming(pairs)
+        for row, m in zip(cells, perms[lpred].mapping):
+            pairs = row[m - 1]
+            if pairs is None:
+                return None
+            for x, y in pairs:
+                if rho.setdefault(x, y) != y:
+                    return None
+    return rho if len(set(rho.values())) == len(rho) else None
+
+
+def _combo_rhos(options: list, pred_map: dict, perms: dict) -> Optional[dict]:
+    """The renaming of each clause pair that a combination makes
+    compatible, from ``options``: per left clause i, (i, [(j, argument
+    table), ...]).  None as soon as a left clause has no compatible
+    partner."""
+    rhos = {}
+    for i, row in options:
+        before = len(rhos)
+        for j, table in row:
+            rho = _table_rho(table, pred_map, perms)
+            if rho is not None:
+                rhos[i, j] = rho
+        if len(rhos) == before:
+            return None
+    return rhos
 
 
 def _pred_bijections(s1: SCC, s2: SCC):
     """Arity/clause-count-respecting bijections between member predicates,
     in deterministic order."""
-    if len(s1.members) != len(s2.members):
+    groups1, groups2 = {}, {}
+    for scc, groups in ((s1, groups1), (s2, groups2)):
+        for p in scc.members:
+            groups.setdefault((p.arity, len(scc.clauses_of(p))), []).append(p)
+    if {k: len(v) for k, v in groups1.items()} != {k: len(v) for k, v in groups2.items()}:
         return
-    key = lambda scc, p: (p.arity, len(scc.clauses_of(p)))
-    groups1: dict = {}
-    groups2: dict = {}
-    for p in s1.members:
-        groups1.setdefault(key(s1, p), []).append(p)
-    for p in s2.members:
-        groups2.setdefault(key(s2, p), []).append(p)
-    if sorted(groups1) != sorted(groups2):
-        return
-    if any(len(groups1[k]) != len(groups2[k]) for k in groups1):
-        return
-    keys = sorted(groups1)
-    per_group = []
-    for k in keys:
-        left = groups1[k]
-        per_group.append([tuple(zip(left, perm))
-                          for perm in itertools.permutations(groups2[k])])
+    per_group = [[tuple(zip(groups1[k], perm)) for perm in itertools.permutations(groups2[k])]
+                 for k in sorted(groups1)]
     for combo in itertools.product(*per_group):
-        mapping = {}
-        for group in combo:
-            mapping.update(dict(group))
-        yield mapping
+        yield {p: q for group in combo for p, q in group}
 
 
 def _perm_combos(members, arity_limit: int):
     """All per-predicate argument permutation combinations; beyond the
     arity limit only the identity is tried and the combo is approximate."""
-    spaces = []
-    approximate = False
-    for q in members:
-        n = q.arity
-        if n <= 1:
-            spaces.append([ArgPermutation.identity(n)])
-        elif n <= arity_limit:
-            spaces.append([ArgPermutation(p)
-                           for p in itertools.permutations(range(1, n + 1))])
-        else:
-            spaces.append([ArgPermutation.identity(n)])
-            approximate = True
+    limit = max(arity_limit, 1)
+    spaces = [[ArgPermutation(p) for p in itertools.permutations(range(1, q.arity + 1))]
+              if q.arity <= limit else [ArgPermutation.identity(q.arity)] for q in members]
+    approximate = any(q.arity > limit for q in members)
     for combo in itertools.product(*spaces):
         yield dict(zip(members, combo)), approximate
 
@@ -172,22 +159,23 @@ def _witness_combos(s1: SCC, s2: SCC, arity_limit: int):
     two SCCs, in deterministic order, as ``(pred_map, perms, approximate,
     groups, rhos)``.  ``groups`` holds, per member of s1, its clause
     indices and those of its image in s2; ``rhos`` maps each compatible
-    clause pair (i, j) to its variable renaming.  ``approximate`` is set
-    when argument permutations were skipped beyond the arity limit."""
+    clause pair (i, j) to its variable renaming, and is None when some
+    clause of s1 has no compatible partner (the combination is dead).
+    ``approximate`` is set when argument permutations were skipped beyond
+    the arity limit."""
     lefts = [[i for i, c in enumerate(s1.clauses) if c.head.pred == q] for q in s1.members]
+    tables: dict = {}  # (i, j) -> _arg_table of that clause pair
     for pred_map in _pred_bijections(s1, s2):
         groups = [(left, [j for j, c in enumerate(s2.clauses) if c.head.pred == pred_map[q]])
                   for q, left in zip(s1.members, lefts)]
+        for left, right in groups:
+            for i, j in itertools.product(left, right):
+                if (i, j) not in tables:
+                    tables[i, j] = _arg_table(s1.segmented[i], s2.segmented[j])
+        options = [(i, [(j, tables[i, j]) for j in right if tables[i, j] is not None])
+                   for left, right in groups for i in left]
         for perms, approximate in _perm_combos(s1.members, arity_limit):
-            rhos = {}
-            for left, right in groups:
-                for i in left:
-                    for j in right:
-                        rho = _clause_rho(s1.segmented[i], s2.segmented[j],
-                                          pred_map, perms)
-                        if rho is not None:
-                            rhos[i, j] = rho
-            yield pred_map, perms, approximate, groups, rhos
+            yield pred_map, perms, approximate, groups, _combo_rhos(options, pred_map, perms)
 
 
 def _by_name(item):
@@ -206,38 +194,6 @@ def _witness(s1: SCC, pred_map: dict, perms: dict, mapping, approximate: bool):
     )
 
 
-def _clause_bijections(lefts: list, options: dict, used=frozenset()):
-    """Every assignment of pairwise distinct right clauses, outside
-    ``used``, to the left clauses, each from its ``options`` list of
-    (j, rho), in lexicographic order, as lists of (i, j, rho)."""
-    if not lefts:
-        yield []
-        return
-    i = lefts[0]
-    for j, rho in options[i]:
-        if j not in used:
-            for rest in _clause_bijections(lefts[1:], options, used | {j}):
-                yield [(i, j, rho)] + rest
-
-
-def find_structure_witnesses(s1: SCC, s2: SCC,
-                             arity_limit: int = DEFAULT_ARITY_LIMIT,
-                             cap: int = DEFAULT_WITNESS_CAP):
-    """Enumerate Definition-8 witnesses in deterministic order; an empty
-    sequence means the SCCs do not share a recursive structure.  At most
-    ``cap`` (predicate bijection, argument permutations) combinations are
-    examined."""
-    for pred_map, perms, approximate, groups, rhos in itertools.islice(
-            _witness_combos(s1, s2, arity_limit), cap):
-        options = {i: [(j, rhos[i, j]) for j in right if (i, j) in rhos]
-                   for left, right in groups for i in left}
-        if not all(options.values()):
-            continue
-        for mapping in _clause_bijections(list(options), options):
-            yield _witness(s1, pred_map, perms, sorted(mapping, key=lambda m: m[0]),
-                           approximate)
-
-
 def validate_witness(s1: SCC, s2: SCC, w: StructureWitness) -> bool:
     """Re-apply pi and rho to every head and recursive call and check the
     result reproduces the mapped clause syntactically."""
@@ -253,9 +209,9 @@ def validate_witness(s1: SCC, s2: SCC, w: StructureWitness) -> bool:
         for la, ra in zip(lefts, rights):
             if la.pred not in pred_map or pred_map[la.pred] != ra.pred:
                 return False
-            image = rename_vars(_transform_atom(la, pred_map, perms),
-                                {k: Var(v) for k, v in rho.items()})
-            if image != ra:
+            image = Atom(ra.pred, perms[la.pred].apply(la.args))
+            _, var_pairs, exact = align(atom_to_term(image), atom_to_term(ra))
+            if not exact or any(rho.get(x, x) != y for x, y in var_pairs):
                 return False
     return True
 
@@ -342,6 +298,8 @@ def closeness(s1: SCC, s2: SCC,
         if count == witness_cap:
             truncated = True
             break
+        if rhos is None:
+            continue
         for i, j in rhos:
             if (i, j) not in scores:
                 scores[i, j] = _clause_pair_score(s1.segmented[i], s2.segmented[j],

@@ -142,6 +142,18 @@ def test_deep_list_fact_is_analyzed(tmp_path, capsys):
     assert main([path, "--no-normalize"]) == 0
 
 
+def test_deep_list_facts_compared_without_normalization(tmp_path, capsys):
+    items = ",".join(map(str, range(3000)))
+    path = write(tmp_path, "deep.pl", f"big([{items}]).\nbag([{items}]).\n")
+    assert main([path, "--no-normalize"]) == 0
+    assert "duplicate: [bag/1] ~ [big/1]" in capsys.readouterr().out
+    assert main([path, "--no-normalize", "--format", "json"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["pairs"]
+    assert entry["closeness"] == [1.0, 1.0]
+    assert entry["sigma"] == 6003
+    assert entry["denominators"] == [6003, 6003]
+
+
 def test_paths_may_follow_options(tmp_path, capsys):
     left = write(tmp_path, "a.pl", APPEND)
     right = write(tmp_path, "b.pl", CONCAT)

@@ -1,19 +1,23 @@
+import itertools
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
 from logdup import (
     SCC, ArgPermutation, Atom, Clause, ClauseSegments, Goal, PredSymbol,
-    SimilarityResult, Var, closeness, common_core, find_structure_witnesses,
+    SimilarityResult, Var, closeness, common_core,
     goal_similarity, identity_witness, normalize_program, parse_program,
     render_clause, scc_similarity, self_similarity, strict_commonality,
     total_nodes, validate_witness,
 )
 from logdup import mutate_duplicate, structure
 from logdup.depgraph import build_sccs, scc_of
-from logdup.metrics import DEFAULT_EXACT_GROUP_LIMIT, DEFAULT_EXACT_VARS_LIMIT, anti_unify
-from logdup.structure import _transform_atom
-from logdup.syntax import rename_vars
+from logdup.metrics import (
+    DEFAULT_EXACT_GROUP_LIMIT, DEFAULT_EXACT_VARS_LIMIT, anti_unify, atom_to_term,
+)
+from logdup.oracle import find_structure_witnesses
+from logdup.syntax import align, rename_vars
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, REV_ALL, scc_named
 from tests.test_acceptance import FIXTURE, FIXTURE_PREDS
 
@@ -388,3 +392,234 @@ def test_witness_invariant_on_wide_pair():
     s1 = scc_named(WIDE_LEFT, "w6", 6)
     s2 = scc_named(WIDE_RIGHT, "v6", 6)
     assert _assert_witnesses_make_calls_identical(s1, s2) > 0
+
+
+# The previous witness search, kept as the reference for the two-stage
+# one: it transforms and re-aligns the heads and recursive calls of every
+# clause pair for every (predicate bijection, argument permutations)
+# combination, and yields every combination with all its compatible
+# clause pairs.
+
+def _transform_atom(atom: Atom, pred_map: dict, perms: dict) -> Atom:
+    """The A''_i construction: rename the predicate and permute the
+    arguments (variables untouched; the renaming is matched afterwards)."""
+    new_pred = pred_map[atom.pred]
+    perm = perms[atom.pred]
+    return Atom(new_pred, perm.apply(atom.args))
+
+
+def _match_renaming(pairs) -> Optional[dict]:
+    """Simultaneous first-order matching of (source, target) atom pairs.
+
+    Succeeds iff the atoms are structurally identical up to a consistent,
+    injective variable correspondence."""
+    rho: dict = {}
+    for src, dst in pairs:
+        _, var_pairs, exact = align(atom_to_term(src), atom_to_term(dst))
+        if not exact:
+            return None
+        for x, y in var_pairs:
+            if rho.setdefault(x, y) != y:
+                return None
+    if len(set(rho.values())) != len(rho):
+        return None
+    return rho
+
+
+def _clause_rho(lseg: ClauseSegments, rseg: ClauseSegments,
+                pred_map: dict, perms: dict) -> Optional[dict]:
+    """Renaming for one clause pair under fixed pi, or None."""
+    if len(lseg.recursive_calls) != len(rseg.recursive_calls):
+        return None
+    pairs = [(_transform_atom(lseg.head, pred_map, perms), rseg.head)]
+    for la, ra in zip(lseg.recursive_calls, rseg.recursive_calls):
+        if pred_map.get(la.pred) != ra.pred:
+            return None
+        pairs.append((_transform_atom(la, pred_map, perms), ra))
+    return _match_renaming(pairs)
+
+
+def _pred_bijections(s1: SCC, s2: SCC):
+    """Arity/clause-count-respecting bijections between member predicates,
+    in deterministic order."""
+    if len(s1.members) != len(s2.members):
+        return
+    key = lambda scc, p: (p.arity, len(scc.clauses_of(p)))
+    groups1: dict = {}
+    groups2: dict = {}
+    for p in s1.members:
+        groups1.setdefault(key(s1, p), []).append(p)
+    for p in s2.members:
+        groups2.setdefault(key(s2, p), []).append(p)
+    if sorted(groups1) != sorted(groups2):
+        return
+    if any(len(groups1[k]) != len(groups2[k]) for k in groups1):
+        return
+    keys = sorted(groups1)
+    per_group = []
+    for k in keys:
+        left = groups1[k]
+        per_group.append([tuple(zip(left, perm))
+                          for perm in itertools.permutations(groups2[k])])
+    for combo in itertools.product(*per_group):
+        mapping = {}
+        for group in combo:
+            mapping.update(dict(group))
+        yield mapping
+
+
+def _perm_combos(members, arity_limit: int):
+    """All per-predicate argument permutation combinations; beyond the
+    arity limit only the identity is tried and the combo is approximate."""
+    spaces = []
+    approximate = False
+    for q in members:
+        n = q.arity
+        if n <= 1:
+            spaces.append([ArgPermutation.identity(n)])
+        elif n <= arity_limit:
+            spaces.append([ArgPermutation(p)
+                           for p in itertools.permutations(range(1, n + 1))])
+        else:
+            spaces.append([ArgPermutation.identity(n)])
+            approximate = True
+    for combo in itertools.product(*spaces):
+        yield dict(zip(members, combo)), approximate
+
+
+def _reference_witness_combos(s1: SCC, s2: SCC, arity_limit: int):
+    """Every (predicate bijection, argument permutations) combination of
+    two SCCs, in deterministic order, as ``(pred_map, perms, approximate,
+    groups, rhos)``.  ``groups`` holds, per member of s1, its clause
+    indices and those of its image in s2; ``rhos`` maps each compatible
+    clause pair (i, j) to its variable renaming.  ``approximate`` is set
+    when argument permutations were skipped beyond the arity limit."""
+    lefts = [[i for i, c in enumerate(s1.clauses) if c.head.pred == q] for q in s1.members]
+    for pred_map in _pred_bijections(s1, s2):
+        groups = [(left, [j for j, c in enumerate(s2.clauses) if c.head.pred == pred_map[q]])
+                  for q, left in zip(s1.members, lefts)]
+        for perms, approximate in _perm_combos(s1.members, arity_limit):
+            rhos = {}
+            for left, right in groups:
+                for i in left:
+                    for j in right:
+                        rho = _clause_rho(s1.segmented[i], s2.segmented[j],
+                                          pred_map, perms)
+                        if rho is not None:
+                            rhos[i, j] = rho
+            yield pred_map, perms, approximate, groups, rhos
+
+
+TWO_MEMBERS = """
+tw_a([], Z) :- Z = a.
+tw_a([X|Xs], Z) :- tw_b(Xs, f(X, Z)).
+tw_b([], Z) :- Z = b.
+tw_b([X|Xs], Z) :- tw_a(Xs, g(Z, X)).
+"""
+
+THREE_MEMBERS = """
+th_a(0, Y) :- Y = z.
+th_a(s(N), Y) :- th_b(N, Y).
+th_b(s(N), Y) :- th_c(Y, N).
+th_c(X, Y) :- th_a(Y, X).
+"""
+
+# in_p's head needs the renaming X -> Z, Y -> Z, which is not injective
+NOT_INJECTIVE = """
+in_p(X, Y) :- q(X).
+in_q(Z, Z) :- q(Z).
+"""
+
+# under pa -> qa, pb -> qb the first clauses' arguments match, but pa's
+# clause calls pb where qa's calls qa
+OTHER_CALL = """
+pa(s(N)) :- pb(N).
+pa(0) :- pa(z).
+pb(s(N)) :- pa(N).
+pb(0) :- pb(z).
+qa(s(N)) :- qa(N).
+qa(0) :- qb(z).
+qb(s(N)) :- qa(N).
+qb(0) :- qb(z).
+"""
+
+
+def _assert_combos_match_reference(s1, s2, arity_limit):
+    """Check every combination of (s1, s2) against the reference; returns
+    the number of combinations and of dead ones."""
+    combos = list(structure._witness_combos(s1, s2, arity_limit))
+    reference = list(_reference_witness_combos(s1, s2, arity_limit))
+    assert len(combos) == len(reference)
+    dead = 0
+    for (*head, rhos), (*ref_head, ref_rhos) in zip(combos, reference):
+        assert head == ref_head
+        groups = ref_head[3]
+        if all(any((i, j) in ref_rhos for j in right) for left, right in groups for i in left):
+            assert rhos == ref_rhos
+        else:
+            assert rhos is None
+            dead += 1
+    return len(combos), dead
+
+
+def _combo_fixtures():
+    fixtures = [scc_named(source, name, arity, normalize)
+                for normalize in (False, True)
+                for source, name, arity in ((APPEND, "append", 3), (CONCAT, "concat", 3),
+                                            (REV_ALL, "rev_all", 2),
+                                            (ADD1_AND_SQR, "add1_and_sqr", 2))]
+    pairs = [(s1, s2) for s1 in fixtures for s2 in fixtures]
+    pairs.append((scc_named(WIDE_LEFT, "w6", 6), scc_named(WIDE_RIGHT, "v6", 6)))
+    for source, left, right, arity in ((NOT_INJECTIVE, "in_p", "in_q", 2),
+                                       (OTHER_CALL, "pa", "qa", 1)):
+        s1, s2 = scc_named(source, left, arity), scc_named(source, right, arity)
+        pairs += [(s1, s2), (s2, s1)]
+    for source, name in ((TWO_MEMBERS, "tw_a"), (THREE_MEMBERS, "th_a")):
+        for normalize in (False, True):
+            original = scc_named(source, name, 2, normalize)
+            copies = [mutate_duplicate(original, seed)[0] for seed in range(3)]
+            pairs += [(original, original)] + [(original, c) for c in copies] + \
+                [(c, original) for c in copies] + [(copies[0], copies[1])]
+    return pairs
+
+
+@pytest.mark.parametrize("arity_limit", [2, 6])
+def test_witness_combos_equal_reference(arity_limit):
+    pairs = _combo_fixtures()
+    assert len(pairs[-1][0].members) == 3
+    counts = [_assert_combos_match_reference(s1, s2, arity_limit) for s1, s2 in pairs]
+    total = sum(n for n, _ in counts)
+    dead = sum(d for _, d in counts)
+    # the fixtures exercise both live and dead combinations
+    assert 0 < dead < total
+
+
+# Under the identity permutation each clause of sw matches the other
+# clause of ws; only the last permutation, (3,2,1), maps each clause onto
+# its copy, and the four in between are dead.
+SWAP_LEFT = """
+sw(a, 0, Y) :- q(Y), q(Y).
+sw(Y, 0, a) :- r(Y).
+"""
+
+SWAP_RIGHT = """
+ws(Y, 0, a) :- q(Y), q(Y).
+ws(a, 0, Y) :- r(Y).
+"""
+
+
+@pytest.mark.parametrize("cap_offset", [-1, 0, 1])
+def test_witness_cap_counts_dead_combinations(cap_offset):
+    s1 = scc_named(SWAP_LEFT, "sw", 3)
+    s2 = scc_named(SWAP_RIGHT, "ws", 3)
+    combos = list(structure._witness_combos(s1, s2, 6))
+    assert [rhos is not None for *_, rhos in combos] == [True, False, False, False, False, True]
+    result = closeness(s1, s2, witness_cap=len(combos) + cap_offset)
+    truncated = cap_offset < 0
+    assert result.approximate == result.witness.approximate == truncated
+    assert result.sigma == (10 if truncated else 17)
+    assert result.closeness == ((Fraction(10, 17),) * 2 if truncated else (Fraction(1),) * 2)
+    assert result.witness.arg_permutations == (
+        (PredSymbol("sw", 3), ArgPermutation((1, 2, 3) if truncated else (3, 2, 1))),)
+    assert result.witness.clause_mapping.pairs == (((0, 1), (1, 0)) if truncated else ((0, 0), (1, 1)))
+    assert result.witness.renamings == (((("Y", "Y"),),) * 2)
