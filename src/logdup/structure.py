@@ -144,8 +144,8 @@ def _pred_bijections(s1: SCC, s2: SCC):
 
 
 def _perm_combos(members, arity_limit: int):
-    """All per-predicate argument permutation combinations; beyond the
-    arity limit only the identity is tried and the combo is approximate."""
+    """All per-predicate argument permutation combinations; a predicate above
+    both the arity limit and arity 1 gets only the identity, and the combo is approximate."""
     limit = max(arity_limit, 1)
     spaces = [[ArgPermutation(p) for p in itertools.permutations(range(1, q.arity + 1))]
               if q.arity <= limit else [ArgPermutation.identity(q.arity)] for q in members]
