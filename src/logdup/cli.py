@@ -4,6 +4,7 @@ compare candidates exactly and print a ranked duplication report."""
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import dataclass, field
@@ -225,7 +226,15 @@ def main(argv=None) -> int:
         emit_common_core=args.emit_common_core,
         format=args.format,
     )
-    code, report = run(config)
+    # The pipeline builds acyclic terms and leaves no reference cycle, so
+    # the cyclic collector would only rescan them; it is paused for the run.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code, report = run(config)
+    finally:
+        if enabled:
+            gc.enable()
     if report is None:
         return code
     if config.format == "json":

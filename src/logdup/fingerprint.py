@@ -138,7 +138,8 @@ def _count_symbols(goal: Goal) -> GoalPrint:
         key = (atom.pred.name, atom.pred.arity)
         counts[key] = counts.get(key, 0) + 1
         for arg in atom.args:
-            _count_functors(arg, counts)
+            if isinstance(arg, Struct):
+                _count_functors(arg, counts)
     return GoalPrint(tuple(sorted(counts.items())))
 
 
@@ -218,9 +219,13 @@ def symbol_bound(a: SCCPrint, b: SCCPrint) -> tuple:
     symbol counts alone.  The glbs that estimate keeps are disjoint
     sub-multisets of each side's symbols, so they retain at most the
     per-symbol minimum of the two sides' sums."""
-    theirs = b.symbols
-    m = sum(min(n, theirs[sym]) for sym, n in a.symbols.items() if sym in theirs)
+    m = _shared_symbols(a, b)
     return (_ratio(m, a.total), _ratio(m, b.total))
+
+
+def _shared_symbols(a: SCCPrint, b: SCCPrint) -> int:
+    theirs = b.symbols
+    return sum(min(n, theirs[sym]) for sym, n in a.symbols.items() if sym in theirs)
 
 
 def _ratio(kept: int, total: int) -> Fraction:
@@ -249,8 +254,11 @@ def candidate_pairs(program: Program, threshold=Fraction(1, 2)) -> tuple:
     Builds SCCs, buckets them by shape signature and emits pairs whose
     estimate's smaller component reaches the threshold, best first.  A
     pair whose ``symbol_bound`` is already below the threshold is
-    skipped without computing the estimate.
+    skipped without computing the estimate; the bound is compared in
+    integers, ``kept / total < num / den`` as ``kept * den < num * total``.
     """
+    threshold = Fraction(threshold)
+    num, den = threshold.numerator, threshold.denominator
     sccs = build_sccs(program)
     # SCCs are keyed by position: hashing one hashes every term in it
     buckets: dict = {}
@@ -265,7 +273,8 @@ def candidate_pairs(program: Program, threshold=Fraction(1, 2)) -> tuple:
         for a in range(len(group)):
             for b in range(a + 1, len(group)):
                 i, j = group[a], group[b]
-                if min(symbol_bound(prints[i], prints[j])) < threshold:
+                kept = _shared_symbols(prints[i], prints[j]) * den
+                if kept < num * prints[i].total or kept < num * prints[j].total:
                     continue
                 est = fp_closeness(prints[i], prints[j])
                 if est is None:

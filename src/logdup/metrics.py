@@ -516,29 +516,34 @@ def _directed_commonality(q1: Goal, q2: Goal, vars_limit: int, group_limit: int)
         return GoalAlignment(tuple(sorted(rho.items())), pairing,
                              base + value, approximate=True)
 
-    best_value, best_rho = -1, None
-
-    def search(idx: int):
-        nonlocal best_value, best_rho
-        if idx == len(v1):
-            best_value, best_rho = base + rows.total, dict(rho)
-            return
-        x = v1[idx]
-        for y in v2:
-            if y in used:
-                continue
-            rows.bind(x, y)
-            if base + rows.total > best_value:
-                rho[x] = y
-                used.add(y)
-                search(idx + 1)
-                del rho[x]
-                used.discard(y)
-            rows.unbind()
-
-    search(0)
+    best_value, best_rho = _search(v1, v2, rows, base, rho, used, (-1, None))
     _, pairing = _best_pairing(table, best_rho)
     return GoalAlignment(tuple(sorted(best_rho.items())), pairing, best_value)
+
+
+def _search(v1: list, v2: list, rows: _WeightRows, base: int,
+            rho: dict, used: set, best: tuple) -> tuple:
+    """The branch-and-bound of ``_directed_commonality`` below a partial
+    renaming rho of v1's first ``len(rho)`` variables onto the images in
+    ``used``: the first best completion as (value, renaming) if it beats
+    ``best``, else ``best``.  The state is passed in, not closed over: a
+    recursive closure holds itself through its cell, so each search would
+    leave a reference cycle for the cyclic collector."""
+    if len(rho) == len(v1):
+        return base + rows.total, dict(rho)
+    x = v1[len(rho)]
+    for y in v2:
+        if y in used:
+            continue
+        rows.bind(x, y)
+        if base + rows.total > best[0]:
+            rho[x] = y
+            used.add(y)
+            best = _search(v1, v2, rows, base, rho, used, best)
+            del rho[x]
+            used.discard(y)
+        rows.unbind()
+    return best
 
 
 def commonality(q1: Goal, q2: Goal,

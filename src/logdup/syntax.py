@@ -154,61 +154,56 @@ def is_builtin(pred: PredSymbol) -> bool:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# One match per token: the layout and comments before it are skipped
+# inside the match, and a '.' followed by layout, a comment or the end of
+# the text is a clause end.  ``eof`` matches only after the last token and
+# ``bad`` takes any other character, so the layout prefix never backtracks.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>%[^\n]*)
+    (?:\s|%[^\n]*)*
+    (?:
+      (?P<end>\.(?=\s|%|\Z))
     | (?P<num>\d+(?:\.\d+)?)
     | (?P<name>[a-z]\w*)
     | (?P<var>[_A-Z]\w*)
     | (?P<quoted>'(?:[^']|'')*')
     | (?P<punct>:-|=:=|=\\=|=<|>=|->|\\\+|[()\[\]|,;!=<>+\-*/.])
+    | (?P<eof>\Z)
+    | (?P<bad>\S)
+    )
     """,
     re.X,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num' | 'name' | 'var' | 'punct' | 'end'
-    value: str
-    line: int
-    col: int
+def _location(text: str, offset: int) -> tuple:
+    """1-based (line, column) of a text offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str, filename: str) -> list:
+    """``[kind, value, offset]`` tokens, kind one of 'num', 'name', 'var',
+    'punct' and 'end'; a quoted atom is a 'name' with its quotes removed.
+    The last token is an 'eof' at the offset of the last one before it,
+    where an unexpected end of input is reported.
+
+    Tokens are lists, not tuples: CPython keeps up to 2,000 freed tuples
+    of each length for reuse, so dropping a file's token tuples at once
+    would leave that many holding memory for the rest of the run."""
     tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PrologSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1, filename)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        col = pos - line_start + 1
-        if kind == "ws":
-            nl = value.count("\n")
-            if nl:
-                line += nl
-                line_start = pos + value.rfind("\n") + 1
-        elif kind == "comment":
-            pass
-        elif kind == "quoted":
-            tokens.append(_Token("name", value[1:-1].replace("''", "'"), line, col))
-        elif kind == "punct" and value == ".":
-            # A '.' is a clause terminator when followed by layout or EOF.
-            nxt = text[m.end():m.end() + 1]
-            if nxt == "" or nxt.isspace() or nxt == "%":
-                tokens.append(_Token("end", ".", line, col))
-            else:
-                tokens.append(_Token("punct", ".", line, col))
+        if kind == "quoted":
+            tokens.append(["name", m.group(kind)[1:-1].replace("''", "'"), m.start(kind)])
+        elif kind == "eof":
+            tokens.append(["eof", "", tokens[-1][2] if tokens else 0])
+            break
+        elif kind == "bad":
+            offset = m.start(kind)
+            raise PrologSyntaxError(
+                f"unexpected character {text[offset]!r}", *_location(text, offset), filename)
         else:
-            tokens.append(_Token(kind, value, line, col))
-        pos = m.end()
+            tokens.append([kind, m.group(kind), m.start(kind)])
     return tokens
 
 
@@ -238,32 +233,31 @@ _INFIX_OPS = {
 
 
 class _Parser:
-    def __init__(self, tokens: list, filename: str):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str, filename: str):
+        self.text = text
         self.filename = filename
+        self.tokens = _tokenize(text, filename)
+        self.pos = 0
         self.fresh_counter = 0
 
     def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def _next(self):
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("end", "", 1, 1)
-            raise PrologSyntaxError("unexpected end of input", last.line, last.col, self.filename)
+        tok = self.tokens[self.pos]
+        if tok[0] == "eof":
+            self._error("unexpected end of input", tok)
         self.pos += 1
         return tok
 
     def _expect(self, value: str):
         tok = self._next()
-        if tok.value != value:
-            raise PrologSyntaxError(
-                f"expected {value!r}, found {tok.value!r}", tok.line, tok.col, self.filename)
+        if tok[1] != value:
+            self._error(f"expected {value!r}, found {tok[1]!r}", tok)
         return tok
 
-    def _error(self, msg: str, tok: _Token):
-        raise PrologSyntaxError(msg, tok.line, tok.col, self.filename)
+    def _error(self, msg: str, tok: list):
+        raise PrologSyntaxError(msg, *_location(self.text, tok[2]), self.filename)
 
     def _fresh_var(self) -> Var:
         self.fresh_counter += 1
@@ -271,19 +265,17 @@ class _Parser:
 
     def parse_term(self, maxprec: int):
         left = self._primary()
+        tokens = self.tokens
         while True:
-            tok = self._peek()
-            if tok is None or tok.kind == "end":
+            tok = tokens[self.pos]
+            op = tok[1]
+            # no 'end', 'num', 'var' or 'eof' value is an operator name
+            entry = _INFIX_OPS.get(op)
+            if entry is None or entry[0] > maxprec:
                 break
-            op = tok.value if tok.kind in ("punct", "name") else None
-            if op not in _INFIX_OPS:
-                break
-            prec, optype = _INFIX_OPS[op]
-            if prec > maxprec:
-                break
-            self._next()
-            rightmax = prec if optype == "xfy" else prec - 1
-            right = self.parse_term(rightmax)
+            prec, optype = entry
+            self.pos += 1
+            right = self.parse_term(prec if optype == "xfy" else prec - 1)
             if op == ":-" and isinstance(left, Struct) and left.functor == ":-" and len(left.args) == 2:
                 self._error("chained ':-'", tok)
             left = Struct(op, (left, right))
@@ -291,67 +283,64 @@ class _Parser:
 
     def _primary(self):
         tok = self._next()
-        if tok.kind == "num":
-            return Num(float(tok.value) if "." in tok.value else int(tok.value))
-        if tok.kind == "var":
-            if tok.value == "_":
-                return self._fresh_var()
-            return Var(tok.value)
-        if tok.kind == "name":
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == "punct" and nxt.value == "(":
-                self._next()
-                args = self._arglist()
-                return Struct(tok.value, tuple(args))
-            return Struct(tok.value)
-        if tok.kind == "punct":
-            if tok.value == "(":
+        kind, value, _ = tok
+        if kind == "name":
+            nxt = self.tokens[self.pos]
+            if nxt[1] == "(" and nxt[0] == "punct":
+                self.pos += 1
+                return Struct(value, tuple(self._arglist()))
+            return Struct(value)
+        if kind == "var":
+            return self._fresh_var() if value == "_" else Var(value)
+        if kind == "num":
+            return Num(float(value) if "." in value else int(value))
+        if kind == "punct":
+            if value == "(":
                 term = self.parse_term(1200)
                 self._expect(")")
                 return term
-            if tok.value == "[":
+            if value == "[":
                 return self._list()
-            if tok.value == "!":
+            if value == "!":
                 return Struct("!")
-            if tok.value == "\\+":
+            if value == "\\+":
                 arg = self.parse_term(900)
                 return Struct("\\+", (arg,))
-            if tok.value == "-":
-                nxt = self._peek()
-                if nxt is not None and nxt.kind == "num":
-                    self._next()
-                    return Num(-(float(nxt.value) if "." in nxt.value else int(nxt.value)))
+            if value == "-":
+                nxt = self.tokens[self.pos]
+                if nxt[0] == "num":
+                    self.pos += 1
+                    return Num(-(float(nxt[1]) if "." in nxt[1] else int(nxt[1])))
                 arg = self.parse_term(200)
                 return Struct("-", (arg,))
-        self._error(f"unexpected token {tok.value!r}", tok)
+        self._error(f"unexpected token {value!r}", tok)
 
     def _arglist(self) -> list:
         args = [self.parse_term(999)]
         while True:
             tok = self._next()
-            if tok.value == ")":
+            if tok[1] == ")":
                 return args
-            if tok.value != ",":
-                self._error(f"expected ',' or ')', found {tok.value!r}", tok)
+            if tok[1] != ",":
+                self._error(f"expected ',' or ')', found {tok[1]!r}", tok)
             args.append(self.parse_term(999))
 
     def _list(self):
-        tok = self._peek()
-        if tok is not None and tok.value == "]":
-            self._next()
+        if self.tokens[self.pos][1] == "]":
+            self.pos += 1
             return Struct("[]")
         elems = [self.parse_term(999)]
         tail = Struct("[]")
         while True:
             tok = self._next()
-            if tok.value == "]":
+            if tok[1] == "]":
                 break
-            if tok.value == "|":
+            if tok[1] == "|":
                 tail = self.parse_term(999)
                 self._expect("]")
                 break
-            if tok.value != ",":
-                self._error(f"expected ',', '|' or ']', found {tok.value!r}", tok)
+            if tok[1] != ",":
+                self._error(f"expected ',', '|' or ']', found {tok[1]!r}", tok)
             elems.append(self.parse_term(999))
         result = tail
         for e in reversed(elems):
@@ -380,11 +369,11 @@ def _term_to_atom(term) -> Atom:
 
 def parse_term(text: str, filename: str = "<string>"):
     """Parse a single term (no trailing '.')."""
-    parser = _Parser(_tokenize(text, filename), filename)
+    parser = _Parser(text, filename)
     term = parser.parse_term(1200)
     tok = parser._peek()
-    if tok is not None:
-        parser._error(f"trailing input {tok.value!r}", tok)
+    if tok[0] != "eof":
+        parser._error(f"trailing input {tok[1]!r}", tok)
     return term
 
 
@@ -411,31 +400,34 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
     analysis, with a warning naming the construct.  Top-level directives
     are skipped with a warning.  Empty input yields an empty program.
     """
-    tokens = _tokenize(text, filename)
-    parser = _Parser(tokens, filename)
+    parser = _Parser(text, filename)
     predicates: dict = {}
     order: list = []
     warnings: list = []
     tainted: dict = {}  # PredSymbol -> reason
+    # the line of each clause's first token, counted on from the last one
+    line, counted = 1, 0
 
-    while parser._peek() is not None:
+    while parser._peek()[0] != "eof":
         first = parser._peek()
-        if first.kind == "punct" and first.value == ":-":
+        line += text.count("\n", counted, first[2])
+        counted = first[2]
+        if first[0] == "punct" and first[1] == ":-":
             parser._next()
             parser.parse_term(1200)
             parser._expect(".")
-            warnings.append(f"{filename}:{first.line}: directive skipped")
+            warnings.append(f"{filename}:{line}: directive skipped")
             continue
         parser.fresh_counter = 0
         term = parser.parse_term(1200)
         parser._expect(".")
-        origin = (filename, first.line)
+        origin = (filename, line)
         if isinstance(term, Struct) and term.functor == ":-" and len(term.args) == 2:
             head_term, body_term = term.args
         else:
             head_term, body_term = term, None
         if not isinstance(head_term, Struct) or head_term.functor in _NON_DEFINITE:
-            raise PrologSyntaxError("clause head must be an atom", first.line, first.col, filename)
+            parser._error("clause head must be an atom", first)
         head = _term_to_atom(head_term)
         offender = None
         body_atoms = []

@@ -1,7 +1,10 @@
+import gc
 import json
 import subprocess
 import sys
 from fractions import Fraction
+
+import pytest
 
 from logdup.cli import Config, main, run
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL
@@ -198,6 +201,41 @@ def test_compound_call_argument_without_normalization(tmp_path, capsys):
     (entry,) = json.loads(capsys.readouterr().out)["pairs"]
     assert entry["closeness"] == [1.0, 1.0]
     assert entry["fingerprint_estimate"] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("fields, exercised", [
+    ({}, lambda pairs: pairs and not any(e["approximate"] for e in pairs)),
+    ({"exact_vars_limit": 1}, lambda pairs: any(e["approximate"] for e in pairs)),
+    ({"emit_common_core": True}, lambda pairs: any(e["common_core"] for e in pairs)),
+    ({"normalize": False}, lambda pairs: pairs),
+], ids=["exact", "greedy", "common-core", "no-normalize"])
+def test_pipeline_leaves_no_reference_cycles(tmp_path, fields, exercised):
+    # main runs the pipeline with the cyclic collector paused, which is
+    # safe only while nothing in it builds a reference cycle
+    good = write(tmp_path, "good.pl", CORPUS)
+    bad = write(tmp_path, "bad.pl", "p(a :- q.")
+    gc.collect()
+    gc.disable()
+    try:
+        code, report = run(Config(paths=[good, bad], **fields))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert code == 0
+    assert any("parse error" in w for w in report["warnings"])
+    assert exercised(report["pairs"])
+
+
+def test_main_restores_the_cyclic_collector(tmp_path, capsys):
+    path = write(tmp_path, "dup.pl", APPEND + CONCAT)
+    assert main([path]) == 0
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert main([path]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_cli_import_loads_no_numeric_libraries():

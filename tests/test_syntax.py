@@ -7,7 +7,7 @@ from logdup import (
     render_term,
 )
 from logdup.metrics import nodes, var_occurrences
-from logdup.syntax import align, rename_vars, var_names
+from logdup.syntax import _tokenize, align, rename_vars, var_names
 
 
 def test_parse_fact():
@@ -41,6 +41,8 @@ def test_quoted_atom():
     term = parse_term("'hello world'(a)")
     assert term.functor == "hello world"
     assert render_term(term) == "'hello world'(a)"
+    assert parse_term("'it''s'") == Struct("it's")
+    assert render_term(Struct("it's")) == "'it''s'"
 
 
 def test_anonymous_vars_are_distinct():
@@ -67,16 +69,52 @@ def test_disjunction_excludes_predicate():
     assert PredSymbol("s", 1) in program.predicates
 
 
+SYNTAX_ERRORS = [
+    ("p(X :- q.", (1, 5), "expected ',' or ')', found ':-'"),
+    ("p(a)", (1, 4), "unexpected end of input"),
+    ("p(a.b).", (1, 4), "expected ',' or ')', found '.'"),
+    ("p(a).\n\tq(#).", (2, 4), "unexpected character '#'"),
+    ("p(a).\r\nq(#).", (2, 3), "unexpected character '#'"),
+    ("% comment\np(a) :- #.", (2, 9), "unexpected character '#'"),
+    # newlines inside a quoted atom count too
+    ("p('a\nb').\nq(X) :- X = .", (3, 13), "unexpected token '.'"),
+]
+
+
 def test_syntax_error_carries_location():
-    with pytest.raises(PrologSyntaxError) as err:
-        parse_program("p(X :- q.")
-    assert err.value.line == 1
+    for text, (line, column), message in SYNTAX_ERRORS:
+        with pytest.raises(PrologSyntaxError) as err:
+            parse_program(text, filename="ml.pl")
+        assert (err.value.line, err.value.column) == (line, column), text
+        assert str(err.value) == f"ml.pl:{line}:{column}: {message}"
+
+
+CLAUSE_LINES = [
+    ("\n\np(a).", [3]),
+    ("p('a\nb').\nq(a).", [1, 3]),
+    ("p(a).%c\nq(a).\tr(a).\r\ns(a).", [1, 2, 2, 3]),
+]
 
 
 def test_clause_origin_records_line():
-    program = parse_program("\n\np(a).", filename="f.pl")
-    clause = program.predicates[PredSymbol("p", 1)][0]
-    assert clause.origin == ("f.pl", 3)
+    for text, lines in CLAUSE_LINES:
+        program = parse_program(text, filename="f.pl")
+        assert [c.origin for c in program.all_clauses()] == [("f.pl", n) for n in lines], text
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("p.", [("name", "p", 0), ("end", ".", 1)]),
+    ("p.%c", [("name", "p", 0), ("end", ".", 1)]),
+    ("p.\tq.\r\n", [("name", "p", 0), ("end", ".", 1), ("name", "q", 3), ("end", ".", 4)]),
+    ("a.b", [("name", "a", 0), ("punct", ".", 1), ("name", "b", 2)]),
+    ("1.5. 1.", [("num", "1.5", 0), ("end", ".", 3), ("num", "1", 5), ("end", ".", 6)]),
+    (" 'it''s' % c\n", [("name", "it's", 1)]),
+])
+def test_tokens_carry_kind_value_and_offset(text, tokens):
+    *found, eof = _tokenize(text, "t.pl")
+    assert [tuple(t) for t in found] == tokens
+    # the end of input is reported at the last token
+    assert eof == ["eof", "", tokens[-1][2]]
 
 
 def test_end_dot_inside_functor_name():
