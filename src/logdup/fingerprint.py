@@ -224,6 +224,7 @@ def symbol_bound(a: SCCPrint, b: SCCPrint) -> tuple:
 
 
 def _shared_symbols(a: SCCPrint, b: SCCPrint) -> int:
+    """The per-symbol minimum of the two prints' symbol sums, summed."""
     theirs = b.symbols
     return sum(min(n, theirs[sym]) for sym, n in a.symbols.items() if sym in theirs)
 
