@@ -8,7 +8,7 @@ from .fingerprint import (
     print_glb, scc_print, scc_print_glb,
 )
 from .metrics import (
-    GoalAlignment, MsgResult, commonality, goal_similarity,
+    GoalAlignment, Limits, MsgResult, commonality, goal_similarity,
     maximal_similar_subgoals, msg, nodes, predicate_multiset,
     shared_var_count, strict_commonality, total_nodes, var_occurrences,
 )
@@ -30,7 +30,7 @@ __all__ = [
     "ClausePrint", "GoalPrint", "PredicatePrint", "SCCPrint",
     "candidate_pairs", "check_glb_conjecture", "clauseprint", "fp_closeness",
     "goalprint", "predicate_print", "print_glb", "scc_print", "scc_print_glb",
-    "GoalAlignment", "MsgResult", "commonality", "goal_similarity",
+    "GoalAlignment", "Limits", "MsgResult", "commonality", "goal_similarity",
     "maximal_similar_subgoals", "msg", "nodes", "predicate_multiset",
     "shared_var_count", "strict_commonality", "total_nodes",
     "var_occurrences", "is_normal_atom", "normalize_clause",

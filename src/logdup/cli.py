@@ -12,10 +12,8 @@ from fractions import Fraction
 
 from .fingerprint import candidate_pairs
 from .normalize import normalize_program
-from .structure import (
-    DEFAULT_ARITY_LIMIT, DEFAULT_WITNESS_CAP, closeness, common_core,
-)
-from .metrics import DEFAULT_EXACT_GROUP_LIMIT, DEFAULT_EXACT_VARS_LIMIT
+from .structure import closeness, common_core
+from .metrics import Limits
 from .syntax import PrologSyntaxError, Program, parse_program, render_clause
 
 NODE_COUNTING_NOTE = (
@@ -31,10 +29,7 @@ class Config:
     paths: list = field(default_factory=list)
     threshold: Fraction = Fraction(1, 2)
     fp_threshold: Fraction = Fraction(1, 2)
-    exact_vars_limit: int = DEFAULT_EXACT_VARS_LIMIT
-    exact_group_limit: int = DEFAULT_EXACT_GROUP_LIMIT
-    arity_limit: int = DEFAULT_ARITY_LIMIT
-    witness_cap: int = DEFAULT_WITNESS_CAP
+    limits: Limits = Limits()
     normalize: bool = True
     emit_common_core: bool = False
     format: str = "text"
@@ -75,14 +70,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="compare clauses as written instead of in flat normal form")
     parser.add_argument("--emit-common-core", action="store_true",
                         help="include a generalized definition for each exact pair")
-    parser.add_argument("--exact-vars-limit", type=_positive_int,
-                        default=DEFAULT_EXACT_VARS_LIMIT)
-    parser.add_argument("--exact-group-limit", type=_positive_int,
-                        default=DEFAULT_EXACT_GROUP_LIMIT)
-    parser.add_argument("--arity-limit", type=_positive_int,
-                        default=DEFAULT_ARITY_LIMIT)
-    parser.add_argument("--witness-cap", type=_positive_int,
-                        default=DEFAULT_WITNESS_CAP)
+    limits = Limits()
+    parser.add_argument("--exact-vars-limit", type=_positive_int, default=limits.exact_vars)
+    parser.add_argument("--exact-group-limit", type=_positive_int, default=limits.exact_group)
+    parser.add_argument("--arity-limit", type=_positive_int, default=limits.arity)
+    parser.add_argument("--witness-cap", type=_positive_int, default=limits.witness_cap)
     return parser
 
 
@@ -129,11 +121,7 @@ def analyze(program: Program, config: Config) -> list:
     candidates = candidate_pairs(program, config.fp_threshold)
     entries = []
     for left, right, estimate in candidates:
-        result = closeness(left, right,
-                           vars_limit=config.exact_vars_limit,
-                           group_limit=config.exact_group_limit,
-                           arity_limit=config.arity_limit,
-                           witness_cap=config.witness_cap)
+        result = closeness(left, right, config.limits)
         if result is None or min(result.closeness) < config.threshold:
             continue
         core = None
@@ -218,10 +206,8 @@ def main(argv=None) -> int:
         paths=args.paths,
         threshold=args.threshold,
         fp_threshold=args.fp_threshold,
-        exact_vars_limit=args.exact_vars_limit,
-        exact_group_limit=args.exact_group_limit,
-        arity_limit=args.arity_limit,
-        witness_cap=args.witness_cap,
+        limits=Limits(args.exact_vars_limit, args.exact_group_limit,
+                      args.arity_limit, args.witness_cap),
         normalize=not args.no_normalize,
         emit_common_core=args.emit_common_core,
         format=args.format,

@@ -16,8 +16,21 @@ from .syntax import (
 CONJ = "','"  # encoding functor for conjunction nodes
 NECK = "':-'"  # encoding functor for the clause neck
 
-DEFAULT_EXACT_VARS_LIMIT = 8
-DEFAULT_EXACT_GROUP_LIMIT = 6
+
+@dataclass(frozen=True)
+class Limits:
+    """The bounds of the exact searches; a result cut by any of them is
+    flagged approximate.  Commonality searches renamings exactly up to
+    ``exact_vars`` variables and ``exact_group`` atoms of one predicate,
+    and greedily beyond.  Closeness tries every argument permutation of
+    a predicate up to arity ``arity`` (the identity only above it) and
+    examines at most ``witness_cap`` (predicate bijection x argument
+    permutation) combinations per pair."""
+
+    exact_vars: int = 8
+    exact_group: int = 6
+    arity: int = 6
+    witness_cap: int = 10000
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +491,7 @@ class _WeightRows:
             self.optimum[g] = optimum
 
 
-def _directed_commonality(q1: Goal, q2: Goal, vars_limit: int, group_limit: int):
+def _directed_commonality(q1: Goal, q2: Goal, limits: Limits):
     """Max strict commonality over renamings vars(q1)->vars(q2) and
     permutations of q2, assuming Pi(q1) == Pi(q2).
 
@@ -498,8 +511,8 @@ def _directed_commonality(q1: Goal, q2: Goal, vars_limit: int, group_limit: int)
     rho: dict = {}
     used: set = set()
 
-    if not (len(v1) <= vars_limit
-            and max((len(g[0]) for g in table), default=0) <= group_limit):
+    if not (len(v1) <= limits.exact_vars
+            and max((len(g[0]) for g in table), default=0) <= limits.exact_group):
         for x in v1:
             best_y, best_s = None, -1
             for y in v2:
@@ -546,9 +559,7 @@ def _search(v1: list, v2: list, rows: _WeightRows, base: int,
     return best
 
 
-def commonality(q1: Goal, q2: Goal,
-                vars_limit: int = DEFAULT_EXACT_VARS_LIMIT,
-                group_limit: int = DEFAULT_EXACT_GROUP_LIMIT):
+def commonality(q1: Goal, q2: Goal, limits: Limits = Limits()):
     """Commonality C (Definition 4) with a witness.
 
     The renaming always runs from the goal with fewer variables.  With
@@ -563,10 +574,10 @@ def commonality(q1: Goal, q2: Goal,
     k1, k2 = len(var_names(q1)), len(var_names(q2))
     fwd = None
     if k1 <= k2:
-        fwd = _directed_commonality(q1, q2, vars_limit, group_limit)
+        fwd = _directed_commonality(q1, q2, limits)
         if k1 < k2 or not fwd.approximate:
             return fwd.value, fwd
-    rev = _directed_commonality(q2, q1, vars_limit, group_limit)
+    rev = _directed_commonality(q2, q1, limits)
     if fwd is not None and rev.value <= fwd.value:
         return fwd.value, fwd
     flipped = GoalAlignment(rev.renaming, tuple(sorted((i, j) for j, i in rev.atom_pairing)),
@@ -574,9 +585,7 @@ def commonality(q1: Goal, q2: Goal,
     return rev.value, flipped
 
 
-def goal_similarity(q1: Goal, q2: Goal,
-                    vars_limit: int = DEFAULT_EXACT_VARS_LIMIT,
-                    group_limit: int = DEFAULT_EXACT_GROUP_LIMIT):
+def goal_similarity(q1: Goal, q2: Goal, limits: Limits = Limits()):
     """Similarity sigma (Definition 5): commonality of the maximal pair of
     similarly structured subgoals; 0 with an empty witness when that pair
     is empty.  Pairing indices refer to the original goals."""
@@ -585,7 +594,7 @@ def goal_similarity(q1: Goal, q2: Goal,
         return 0, GoalAlignment()
     s1 = Goal(tuple(q1.atoms[i] for i in i1))
     s2 = Goal(tuple(q2.atoms[i] for i in i2))
-    value, align = commonality(s1, s2, vars_limit, group_limit)
+    value, align = commonality(s1, s2, limits)
     pairing = tuple(sorted((i1[a], i2[b]) for a, b in align.atom_pairing))
     return value, GoalAlignment(align.renaming, pairing, value,
                                 align.swapped, align.approximate)

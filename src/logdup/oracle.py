@@ -9,9 +9,8 @@ import random
 import string
 
 from .depgraph import SCC, segment_clause
-from .metrics import predicate_multiset, strict_commonality
-from .structure import (
-    DEFAULT_ARITY_LIMIT, DEFAULT_WITNESS_CAP, ArgPermutation, _witness, _witness_combos)
+from .metrics import Limits, predicate_multiset, strict_commonality
+from .structure import ArgPermutation, _witness, _witness_combos
 from .syntax import Atom, Clause, Goal, PredSymbol, Var, rename_vars, var_names
 
 MAX_ORACLE_ATOMS = 5
@@ -57,16 +56,15 @@ def brute_force_commonality(q1: Goal, q2: Goal) -> int:
 # Witness enumeration
 # ---------------------------------------------------------------------------
 
-def find_structure_witnesses(s1: SCC, s2: SCC,
-                             arity_limit: int = DEFAULT_ARITY_LIMIT,
-                             cap: int = DEFAULT_WITNESS_CAP):
+def find_structure_witnesses(s1: SCC, s2: SCC, limits: Limits = Limits()):
     """Enumerate Definition-8 witnesses in deterministic order: per live
     (predicate bijection, argument permutations) combination, every
     bijection of compatible clause pairs, in lexicographic order.  An
-    empty sequence means the SCCs do not share a recursive structure.  At
-    most ``cap`` combinations are examined."""
+    empty sequence means the SCCs do not share a recursive structure.
+    The combinations examined are those ``closeness`` examines under the
+    same limits."""
     for pred_map, perms, approximate, groups, rhos in itertools.islice(
-            _witness_combos(s1, s2, arity_limit), cap):
+            _witness_combos(s1, s2, limits.arity), limits.witness_cap):
         if rhos is None:
             continue
         options = [[(i, j, rhos[i, j]) for j in right if (i, j) in rhos]

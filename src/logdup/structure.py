@@ -10,13 +10,9 @@ from typing import Optional
 
 from .depgraph import SCC, ClauseSegments
 from .metrics import (
-    DEFAULT_EXACT_GROUP_LIMIT, DEFAULT_EXACT_VARS_LIMIT, anti_unify, atom_to_term,
-    goal_similarity, max_weight_matching, total_nodes,
+    Limits, anti_unify, atom_to_term, goal_similarity, max_weight_matching, total_nodes,
 )
 from .syntax import Atom, Clause, Goal, PredSymbol, align, var_names
-
-DEFAULT_ARITY_LIMIT = 6
-DEFAULT_WITNESS_CAP = 10000
 
 
 @dataclass(frozen=True)
@@ -143,10 +139,10 @@ def _pred_bijections(s1: SCC, s2: SCC):
         yield {p: q for group in combo for p, q in group}
 
 
-def _perm_combos(members, arity_limit: int):
+def _perm_combos(members, arity: int):
     """All per-predicate argument permutation combinations; a predicate above
-    both the arity limit and arity 1 gets only the identity, and the combo is approximate."""
-    limit = max(arity_limit, 1)
+    both ``arity`` and arity 1 gets only the identity, and the combo is approximate."""
+    limit = max(arity, 1)
     spaces = [[ArgPermutation(p) for p in itertools.permutations(range(1, q.arity + 1))]
               if q.arity <= limit else [ArgPermutation.identity(q.arity)] for q in members]
     approximate = any(q.arity > limit for q in members)
@@ -154,15 +150,15 @@ def _perm_combos(members, arity_limit: int):
         yield dict(zip(members, combo)), approximate
 
 
-def _witness_combos(s1: SCC, s2: SCC, arity_limit: int):
+def _witness_combos(s1: SCC, s2: SCC, arity: int):
     """Every (predicate bijection, argument permutations) combination of
     two SCCs, in deterministic order, as ``(pred_map, perms, approximate,
     groups, rhos)``.  ``groups`` holds, per member of s1, its clause
     indices and those of its image in s2; ``rhos`` maps each compatible
     clause pair (i, j) to its variable renaming, and is None when some
     clause of s1 has no compatible partner (the combination is dead).
-    ``approximate`` is set when argument permutations were skipped beyond
-    the arity limit."""
+    ``approximate`` is set when argument permutations were skipped above
+    ``arity``."""
     lefts = [[i for i, c in enumerate(s1.clauses) if c.head.pred == q] for q in s1.members]
     tables: dict = {}  # (i, j) -> _arg_table of that clause pair
     for pred_map in _pred_bijections(s1, s2):
@@ -174,7 +170,7 @@ def _witness_combos(s1: SCC, s2: SCC, arity_limit: int):
                     tables[i, j] = _arg_table(s1.segmented[i], s2.segmented[j])
         options = [(i, [(j, tables[i, j]) for j in right if tables[i, j] is not None])
                    for left, right in groups for i in left]
-        for perms, approximate in _perm_combos(s1.members, arity_limit):
+        for perms, approximate in _perm_combos(s1.members, arity):
             yield pred_map, perms, approximate, groups, _combo_rhos(options, pred_map, perms)
 
 
@@ -228,8 +224,7 @@ def validate_witness(s1: SCC, s2: SCC, w: StructureWitness) -> bool:
 # the witness: the whole contribution depends on the two clauses alone,
 # and closeness computes it once per clause pair.
 
-def _clause_pair_score(lseg: ClauseSegments, rseg: ClauseSegments,
-                       vars_limit: int, group_limit: int):
+def _clause_pair_score(lseg: ClauseSegments, rseg: ClauseSegments, limits: Limits = Limits()):
     """The Definition-9 contribution of a clause pair mapped by some
     witness, with the segment alignments that realize it and whether any
     of them is approximate."""
@@ -237,20 +232,18 @@ def _clause_pair_score(lseg: ClauseSegments, rseg: ClauseSegments,
     alignments = []
     approximate = False
     for lq, rq in zip(lseg.segments, rseg.segments):
-        value, align = goal_similarity(lq, rq, vars_limit, group_limit)
+        value, align = goal_similarity(lq, rq, limits)
         score += value
         alignments.append(align)
         approximate = approximate or align.approximate
     return score, tuple(alignments), approximate
 
 
-def scc_similarity(s1: SCC, s2: SCC, w: StructureWitness,
-                   vars_limit: int = DEFAULT_EXACT_VARS_LIMIT,
-                   group_limit: int = DEFAULT_EXACT_GROUP_LIMIT) -> int:
+def scc_similarity(s1: SCC, s2: SCC, w: StructureWitness, limits: Limits = Limits()) -> int:
     """Similarity sigma([p],[p'],phi) for a given witness."""
     if not validate_witness(s1, s2, w):
         raise ValueError("invalid structure witness")
-    return sum(_clause_pair_score(s1.segmented[i], s2.segmented[j], vars_limit, group_limit)[0]
+    return sum(_clause_pair_score(s1.segmented[i], s2.segmented[j], limits)[0]
                for i, j in w.clause_mapping.pairs)
 
 
@@ -264,25 +257,19 @@ def identity_witness(s: SCC) -> StructureWitness:
                     mapping, False)
 
 
-def self_similarity(s: SCC,
-                    vars_limit: int = DEFAULT_EXACT_VARS_LIMIT,
-                    group_limit: int = DEFAULT_EXACT_GROUP_LIMIT) -> int:
+def self_similarity(s: SCC, limits: Limits = Limits()) -> int:
     """sigma(s, s, identity); the closeness denominator N_[s].  Using the
     self-similarity rather than the raw node total makes closeness (1,1)
-    for duplicates by construction.  Computed once per SCC and limits,
-    and kept on the SCC."""
+    for duplicates by construction.  Computed once per SCC and commonality
+    limits (the only ones it depends on), and kept on the SCC."""
     cache = s.self_similarities
-    key = (vars_limit, group_limit)
+    key = (limits.exact_vars, limits.exact_group)
     if key not in cache:
-        cache[key] = scc_similarity(s, s, identity_witness(s), vars_limit, group_limit)
+        cache[key] = scc_similarity(s, s, identity_witness(s), limits)
     return cache[key]
 
 
-def closeness(s1: SCC, s2: SCC,
-              vars_limit: int = DEFAULT_EXACT_VARS_LIMIT,
-              group_limit: int = DEFAULT_EXACT_GROUP_LIMIT,
-              arity_limit: int = DEFAULT_ARITY_LIMIT,
-              witness_cap: int = DEFAULT_WITNESS_CAP) -> Optional[SimilarityResult]:
+def closeness(s1: SCC, s2: SCC, limits: Limits = Limits()) -> Optional[SimilarityResult]:
     """Closeness gamma: sigma maximized over witnesses, divided by each
     side's self-similarity.  None when no structure witness exists.
 
@@ -294,16 +281,15 @@ def closeness(s1: SCC, s2: SCC,
     truncated = False
     scores: dict = {}  # (i, j) -> _clause_pair_score of that clause pair
     for count, (pred_map, perms, approx, groups, rhos) in enumerate(
-            _witness_combos(s1, s2, arity_limit)):
-        if count == witness_cap:
+            _witness_combos(s1, s2, limits.arity)):
+        if count == limits.witness_cap:
             truncated = True
             break
         if rhos is None:
             continue
         for i, j in rhos:
             if (i, j) not in scores:
-                scores[i, j] = _clause_pair_score(s1.segmented[i], s2.segmented[j],
-                                                  vars_limit, group_limit)
+                scores[i, j] = _clause_pair_score(s1.segmented[i], s2.segmented[j], limits)
         total = 0
         mapping = []
         for left, right in groups:
@@ -326,8 +312,8 @@ def closeness(s1: SCC, s2: SCC,
     total, pred_map, perms, mapping, approx = best
     witness = _witness(s1, pred_map, perms, [(i, j, rho) for i, j, rho, _ in mapping],
                        approx or truncated)
-    n1 = self_similarity(s1, vars_limit, group_limit)
-    n2 = self_similarity(s2, vars_limit, group_limit)
+    n1 = self_similarity(s1, limits)
+    n2 = self_similarity(s2, limits)
     gamma = (Fraction(total, n1) if n1 else Fraction(0),
              Fraction(total, n2) if n2 else Fraction(0))
     return SimilarityResult(total, gamma, (n1, n2), witness,

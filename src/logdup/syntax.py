@@ -181,6 +181,15 @@ def _location(text: str, offset: int) -> tuple:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
+def _shown(tok) -> str:
+    """A token as an error message quotes it.  A name that is not plain
+    was written quoted and keeps its quotes: the atom ')' is not ')'."""
+    value = tok[1]
+    if tok[0] == "name" and not _PLAIN_NAME_RE.match(value):
+        value = "'" + value.replace("'", "''") + "'"
+    return repr(value)
+
+
 def _tokenize(text: str, filename: str) -> list:
     """``[kind, value, offset]`` tokens, kind one of 'num', 'name', 'var',
     'punct' and 'end'; a quoted atom is a 'name' with its quotes removed.
@@ -250,10 +259,15 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def _expect(self, value: str):
+    def _expect(self, value: str, kind: str = "punct"):
+        """Consume a token of this kind and value: a clause ends only at an
+        'end', and a quoted atom such as ')' is never punctuation."""
         tok = self._next()
-        if tok[1] != value:
-            self._error(f"expected {value!r}, found {tok[1]!r}", tok)
+        if tok[0] != kind or tok[1] != value:
+            found = _shown(tok)
+            if kind == "end" and tok[:2] == ["punct", "."]:
+                found = "'.' followed by more text"
+            self._error(f"expected {value!r}, found {found}", tok)
         return tok
 
     def _error(self, msg: str, tok: list):
@@ -319,28 +333,30 @@ class _Parser:
         args = [self.parse_term(999)]
         while True:
             tok = self._next()
-            if tok[1] == ")":
+            sep = tok[1] if tok[0] == "punct" else None
+            if sep == ")":
                 return args
-            if tok[1] != ",":
-                self._error(f"expected ',' or ')', found {tok[1]!r}", tok)
+            if sep != ",":
+                self._error(f"expected ',' or ')', found {_shown(tok)}", tok)
             args.append(self.parse_term(999))
 
     def _list(self):
-        if self.tokens[self.pos][1] == "]":
+        if self.tokens[self.pos][:2] == ["punct", "]"]:
             self.pos += 1
             return Struct("[]")
         elems = [self.parse_term(999)]
         tail = Struct("[]")
         while True:
             tok = self._next()
-            if tok[1] == "]":
+            sep = tok[1] if tok[0] == "punct" else None
+            if sep == "]":
                 break
-            if tok[1] == "|":
+            if sep == "|":
                 tail = self.parse_term(999)
                 self._expect("]")
                 break
-            if tok[1] != ",":
-                self._error(f"expected ',', '|' or ']', found {tok[1]!r}", tok)
+            if sep != ",":
+                self._error(f"expected ',', '|' or ']', found {_shown(tok)}", tok)
             elems.append(self.parse_term(999))
         result = tail
         for e in reversed(elems):
@@ -384,8 +400,11 @@ def parse_goal(text: str, filename: str = "<string>") -> Goal:
 
 
 def parse_clause(text: str, filename: str = "<string>") -> Clause:
-    """Parse a single clause (trailing '.' optional)."""
-    prog = parse_program(text if text.rstrip().endswith(".") else text + ".", filename)
+    """Parse a single clause (trailing '.' optional; it goes on a line of
+    its own, after any trailing comment)."""
+    if [tok[0] for tok in _tokenize(text, filename)[-2:]] != ["end", "eof"]:
+        text += "\n."
+    prog = parse_program(text, filename)
     clauses = list(prog.all_clauses())
     if len(clauses) != 1:
         raise ValueError(f"expected exactly one definite clause, found {len(clauses)}")
@@ -415,12 +434,12 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
         if first[0] == "punct" and first[1] == ":-":
             parser._next()
             parser.parse_term(1200)
-            parser._expect(".")
+            parser._expect(".", "end")
             warnings.append(f"{filename}:{line}: directive skipped")
             continue
         parser.fresh_counter = 0
         term = parser.parse_term(1200)
-        parser._expect(".")
+        parser._expect(".", "end")
         origin = (filename, line)
         if isinstance(term, Struct) and term.functor == ":-" and len(term.args) == 2:
             head_term, body_term = term.args

@@ -2,11 +2,14 @@ import gc
 import json
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
 
-from logdup.cli import Config, main, run
+from logdup import Limits, closeness
+from logdup import cli
+from logdup.cli import Config, build_arg_parser, main, run
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL
 
 
@@ -205,7 +208,7 @@ def test_compound_call_argument_without_normalization(tmp_path, capsys):
 
 @pytest.mark.parametrize("fields, exercised", [
     ({}, lambda pairs: pairs and not any(e["approximate"] for e in pairs)),
-    ({"exact_vars_limit": 1}, lambda pairs: any(e["approximate"] for e in pairs)),
+    ({"limits": Limits(exact_vars=1)}, lambda pairs: any(e["approximate"] for e in pairs)),
     ({"emit_common_core": True}, lambda pairs: any(e["common_core"] for e in pairs)),
     ({"normalize": False}, lambda pairs: pairs),
 ], ids=["exact", "greedy", "common-core", "no-normalize"])
@@ -224,6 +227,49 @@ def test_pipeline_leaves_no_reference_cycles(tmp_path, fields, exercised):
     assert code == 0
     assert any("parse error" in w for w in report["warnings"])
     assert exercised(report["pairs"])
+
+
+APP = """
+app([],L,L).
+app([H|T],L,[H|R]) :- app(T,L,R).
+"""
+
+LIMIT_FLAGS = {"exact_vars": "--exact-vars-limit", "exact_group": "--exact-group-limit",
+               "arity": "--arity-limit", "witness_cap": "--witness-cap"}
+
+
+def test_limit_flags_default_to_limits():
+    args = vars(build_arg_parser().parse_args([]))
+    assert {name: args[flag[2:].replace("-", "_")] for name, flag in LIMIT_FLAGS.items()} \
+        == asdict(Limits())
+
+
+@pytest.mark.parametrize("name", list(LIMIT_FLAGS))
+def test_each_limit_flag_reaches_its_layer(tmp_path, capsys, monkeypatch, name):
+    # app/3 ~ append/3 is exact at the default limits, and each limit set to
+    # 1 alone cuts a search: the renamings of two or more variables, the
+    # pairing of the two '=' atoms of a normalized clause, the argument
+    # permutations of an arity-3 predicate, or the six (identity first)
+    # argument permutation combinations
+    path = write(tmp_path, "dup.pl", APPEND + APP)
+    seen = []
+
+    def recorded(left, right, limits):
+        seen.append(limits)
+        return closeness(left, right, limits)
+
+    monkeypatch.setattr(cli, "closeness", recorded)
+    for extra, limits in (([], Limits()), ([LIMIT_FLAGS[name], "1"], replace(Limits(), **{name: 1}))):
+        approximate = bool(extra)
+        assert main([path, "--format", "json", *extra]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["pairs"]
+        assert entry["approximate"] is approximate
+        assert main([path, *extra]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("duplicate: [app/3] ~ [append/3]\n  closeness: (1.000, 1.000)")
+        assert ("note: search was truncated; values are a lower bound" in out) is approximate
+        assert seen == [limits, limits]
+        seen.clear()
 
 
 def test_main_restores_the_cyclic_collector(tmp_path, capsys):

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from logdup import (
-    Atom, Goal, GoalAlignment, Num, PredSymbol, Struct, Var,
+    Atom, Goal, GoalAlignment, Limits, Num, PredSymbol, Struct, Var,
     brute_force_commonality, commonality, goal_similarity,
     maximal_similar_subgoals, msg, nodes, parse_clause, parse_goal,
     predicate_multiset, shared_var_count, strict_commonality, total_nodes,
 )
 from logdup import metrics
 from logdup.metrics import (
-    DEFAULT_EXACT_GROUP_LIMIT, DEFAULT_EXACT_VARS_LIMIT, _alignment_table,
-    _best_pairing, _WeightRows, enumerate_renamings, max_weight_matching,
+    _alignment_table, _best_pairing, _WeightRows, enumerate_renamings, max_weight_matching,
 )
 from logdup.syntax import var_names
 
@@ -254,7 +253,7 @@ def test_max_weight_matching_breaks_ties_as_scipy_does():
 # Commonality search: one direction, incremental weight rows
 # ---------------------------------------------------------------------------
 
-def _reference_directed_commonality(q1, q2, vars_limit, group_limit):
+def _reference_directed_commonality(q1, q2, limits):
     """The branch-and-bound as it was before the incremental weight rows:
     a full ``_best_pairing`` at every node.  Kept as the reference the
     witnesses must agree with."""
@@ -265,8 +264,8 @@ def _reference_directed_commonality(q1, q2, vars_limit, group_limit):
     table = _alignment_table(q1, q2)
     v1 = sorted(var_names(q1))
     v2 = sorted(var_names(q2))
-    exact = (len(v1) <= vars_limit
-             and max((len(g[0]) for g in table), default=0) <= group_limit)
+    exact = (len(v1) <= limits.exact_vars
+             and max((len(g[0]) for g in table), default=0) <= limits.exact_group)
 
     if not exact:
         rho: dict = {}
@@ -314,17 +313,17 @@ def _reference_directed_commonality(q1, q2, vars_limit, group_limit):
                          best["value"])
 
 
-def _reference_commonality(q1, q2, vars_limit, group_limit):
+def _reference_commonality(q1, q2, limits):
     """``commonality`` as it was before: both directions on equal counts."""
     k1, k2 = len(var_names(q1)), len(var_names(q2))
     if k1 < k2:
-        return _reference_directed_commonality(q1, q2, vars_limit, group_limit)
+        return _reference_directed_commonality(q1, q2, limits)
     if k1 > k2:
-        a = _reference_directed_commonality(q2, q1, vars_limit, group_limit)
+        a = _reference_directed_commonality(q2, q1, limits)
         return GoalAlignment(a.renaming, tuple(sorted((i, j) for j, i in a.atom_pairing)),
                              a.value, swapped=True, approximate=a.approximate)
-    fwd = _reference_directed_commonality(q1, q2, vars_limit, group_limit)
-    rev = _reference_directed_commonality(q2, q1, vars_limit, group_limit)
+    fwd = _reference_directed_commonality(q1, q2, limits)
+    rev = _reference_directed_commonality(q2, q1, limits)
     if rev.value > fwd.value:
         return GoalAlignment(rev.renaming, tuple(sorted((i, j) for j, i in rev.atom_pairing)),
                              rev.value, swapped=True, approximate=rev.approximate)
@@ -365,9 +364,10 @@ def _similar_goal_pairs(seed, count):
 @pytest.mark.parametrize("vars_limit, group_limit", [(8, 6), (2, 1)])
 def test_commonality_witness_equals_reference(vars_limit, group_limit):
     approximate = 0
+    limits = Limits(exact_vars=vars_limit, exact_group=group_limit)
     for g1, g2 in _similar_goal_pairs(vars_limit * 100 + group_limit, 2000):
-        value, align = commonality(g1, g2, vars_limit, group_limit)
-        expected = _reference_commonality(g1, g2, vars_limit, group_limit)
+        value, align = commonality(g1, g2, limits)
+        expected = _reference_commonality(g1, g2, limits)
         assert align == expected and value == expected.value, (g1, g2)
         approximate += align.approximate
     # both the exact search and the greedy fallback are covered
@@ -391,7 +391,7 @@ def test_commonality_searches_one_direction_on_equal_exact_counts(monkeypatch):
     assert (value, align.swapped, align.approximate) == (5, False, False)
     # beyond the exact limits both greedy directions still run
     calls.clear()
-    commonality(g1, g2, vars_limit=1)
+    commonality(g1, g2, Limits(exact_vars=1))
     assert len(calls) == 2
 
 
@@ -404,9 +404,8 @@ def test_directed_values_agree_on_equal_variable_counts(shape, data):
     g1 = _goal_for(shape, args1)
     g2 = _goal_for(data.draw(st.permutations(shape)), args2)
     assume(len(var_names(g1)) == len(var_names(g2)))
-    limits = (DEFAULT_EXACT_VARS_LIMIT, DEFAULT_EXACT_GROUP_LIMIT)
-    fwd = metrics._directed_commonality(g1, g2, *limits)
-    rev = metrics._directed_commonality(g2, g1, *limits)
+    fwd = metrics._directed_commonality(g1, g2, Limits())
+    rev = metrics._directed_commonality(g2, g1, Limits())
     assert not (fwd.approximate or rev.approximate)
     assert fwd.value == rev.value == brute_force_commonality(g1, g2)
 

@@ -5,7 +5,7 @@ from typing import Optional
 import pytest
 
 from logdup import (
-    SCC, ArgPermutation, Atom, Clause, ClauseSegments, Goal, PredSymbol,
+    SCC, ArgPermutation, Atom, Clause, ClauseSegments, Goal, Limits, PredSymbol,
     SimilarityResult, Var, closeness, common_core,
     goal_similarity, identity_witness, normalize_program, parse_program,
     render_clause, scc_similarity, self_similarity, strict_commonality,
@@ -13,9 +13,7 @@ from logdup import (
 )
 from logdup import mutate_duplicate, structure
 from logdup.depgraph import build_sccs, scc_of
-from logdup.metrics import (
-    DEFAULT_EXACT_GROUP_LIMIT, DEFAULT_EXACT_VARS_LIMIT, anti_unify, atom_to_term,
-)
+from logdup.metrics import anti_unify, atom_to_term
 from logdup.oracle import find_structure_witnesses
 from logdup.syntax import align, rename_vars
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, REV_ALL, scc_named
@@ -258,13 +256,17 @@ def test_self_similarity_once_per_scc(monkeypatch, append_scc, concat_scc):
 
 def test_self_similarity_cache_is_keyed_by_limits(monkeypatch, add1_scc):
     calls = _counting(monkeypatch, "scc_similarity")
+    narrow = Limits(exact_vars=1, exact_group=1)
     default = self_similarity(add1_scc)
-    limited = self_similarity(add1_scc, 1, 1)
-    assert limited == self_similarity(_fresh(add1_scc), 1, 1)
+    limited = self_similarity(add1_scc, narrow)
+    assert limited == self_similarity(_fresh(add1_scc), narrow)
     assert default == self_similarity(add1_scc) == 26
-    assert self_similarity(add1_scc, 1, 1) == limited
+    assert self_similarity(add1_scc, narrow) == limited
+    # the arity and witness-cap limits do not enter self-similarity
+    assert self_similarity(add1_scc, Limits(arity=1, witness_cap=1)) == default
+    assert self_similarity(add1_scc, Limits(1, 1, 2, 3)) == limited
     limits = [args[3:] for args in calls if args[0] is add1_scc]
-    assert limits == [(DEFAULT_EXACT_VARS_LIMIT, DEFAULT_EXACT_GROUP_LIMIT), (1, 1)]
+    assert limits == [(Limits(),), (narrow,)]
 
 
 # References for the witness invariant.  They transform and rename the
@@ -273,8 +275,7 @@ def test_self_similarity_cache_is_keyed_by_limits(monkeypatch, add1_scc):
 # witness the two sides are identical, so the call part is the right
 # ones' node total and the common core keeps the right ones unchanged.
 
-def _reference_segment_score(lseg: ClauseSegments, rseg: ClauseSegments,
-                             vars_limit: int, group_limit: int):
+def _reference_segment_score(lseg: ClauseSegments, rseg: ClauseSegments, limits: Limits):
     """The clause-neck node plus the goal similarity of each segment
     pair, with the alignments that realize it and whether any of them is
     approximate."""
@@ -282,7 +283,7 @@ def _reference_segment_score(lseg: ClauseSegments, rseg: ClauseSegments,
     alignments = []
     approximate = False
     for lq, rq in zip(lseg.segments, rseg.segments):
-        value, align = goal_similarity(lq, rq, vars_limit, group_limit)
+        value, align = goal_similarity(lq, rq, limits)
         score += value
         alignments.append(align)
         approximate = approximate or align.approximate
@@ -357,8 +358,7 @@ def _assert_witnesses_make_calls_identical(s1, s2):
             calls = _reference_call_score(lseg, rseg, pred_map, perms, dict(rho))
             assert calls == sum(total_nodes(a) for a in (rseg.head,) + rseg.recursive_calls)
             assert calls == sum(total_nodes(a) for a in (lseg.head,) + lseg.recursive_calls)
-            segments, aligns, _ = _reference_segment_score(
-                lseg, rseg, DEFAULT_EXACT_VARS_LIMIT, DEFAULT_EXACT_GROUP_LIMIT)
+            segments, aligns, _ = _reference_segment_score(lseg, rseg, Limits())
             sigma += segments + calls
             alignments.append(aligns)
         assert scc_similarity(s1, s2, w) == sigma
@@ -612,12 +612,16 @@ ws(a, 0, Y) :- r(Y).
 def test_witness_cap_counts_dead_combinations(cap_offset):
     s1 = scc_named(SWAP_LEFT, "sw", 3)
     s2 = scc_named(SWAP_RIGHT, "ws", 3)
-    combos = list(structure._witness_combos(s1, s2, 6))
+    combos = list(structure._witness_combos(s1, s2, Limits().arity))
     assert [rhos is not None for *_, rhos in combos] == [True, False, False, False, False, True]
-    result = closeness(s1, s2, witness_cap=len(combos) + cap_offset)
+    limits = Limits(witness_cap=len(combos) + cap_offset)
+    result = closeness(s1, s2, limits)
     truncated = cap_offset < 0
     assert result.approximate == result.witness.approximate == truncated
     assert result.sigma == (10 if truncated else 17)
+    # the oracle examines the same combinations under the same limits
+    assert result.sigma == max(scc_similarity(s1, s2, w)
+                               for w in find_structure_witnesses(s1, s2, limits))
     assert result.closeness == ((Fraction(10, 17),) * 2 if truncated else (Fraction(1),) * 2)
     assert result.witness.arg_permutations == (
         (PredSymbol("sw", 3), ArgPermutation((1, 2, 3) if truncated else (3, 2, 1))),)

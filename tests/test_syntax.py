@@ -78,6 +78,13 @@ SYNTAX_ERRORS = [
     ("% comment\np(a) :- #.", (2, 9), "unexpected character '#'"),
     # newlines inside a quoted atom count too
     ("p('a\nb').\nq(X) :- X = .", (3, 13), "unexpected token '.'"),
+    # a '.' followed by more text ends no clause, and a quoted atom that
+    # reads like punctuation neither ends a clause nor closes or separates
+    ("p(X) :- X = a.b.", (1, 14), "expected '.', found '.' followed by more text"),
+    ("p(a ')' .", (1, 5), "expected ',' or ')', found \"')'\""),
+    ("p(a) '.' q(b).", (1, 6), "expected '.', found \"'.'\""),
+    ("p([a ']' ]).", (1, 6), "expected ',', '|' or ']', found \"']'\""),
+    ("p([a '|' T]).", (1, 6), "expected ',', '|' or ']', found \"'|'\""),
 ]
 
 
@@ -87,6 +94,17 @@ def test_syntax_error_carries_location():
             parse_program(text, filename="ml.pl")
         assert (err.value.line, err.value.column) == (line, column), text
         assert str(err.value) == f"ml.pl:{line}:{column}: {message}"
+
+
+def test_quoted_punctuation_is_an_atom():
+    clause = parse_clause("p([']'], ')', '.').")
+    assert clause.head.args == (Struct(".", (Struct("]"), Struct("[]"))), Struct(")"), Struct("."))
+
+
+def test_parse_clause_end_is_found_in_the_tokens():
+    expected = parse_clause("p(a).")
+    for text in ("p(a) % done.", "p(a). % done", "p(a)", "p(a)."):
+        assert parse_clause(text) == expected, text
 
 
 CLAUSE_LINES = [
