@@ -10,7 +10,7 @@ from functools import cached_property
 from typing import Optional
 
 from .depgraph import SCC, ClauseSegments, build_sccs, segment_clause
-from .metrics import goal_similarity, max_weight_matching, msg
+from .metrics import max_weight_matching
 from .normalize import is_normal_atom
 from .syntax import Clause, Goal, PredSymbol, Program, Struct
 
@@ -284,26 +284,3 @@ def candidate_pairs(program: Program, threshold=Fraction(1, 2)) -> tuple:
                     results.append((sccs[i], sccs[j], est))
     results.sort(key=lambda t: (-min(t[2]), t[0].name(), t[1].name()))
     return tuple(results)
-
-
-# ---------------------------------------------------------------------------
-# Goalprint glb vs generalization check
-# ---------------------------------------------------------------------------
-
-def check_glb_conjecture(q1: Goal, q2: Goal) -> Optional[tuple]:
-    """Compare the pointwise glb of two goalprints against the print of
-    the generalization of their best-aligned subgoals.
-
-    Returns None when they agree and (glb print, generalization print)
-    when they differ.  Disagreements are possible in principle, so the
-    caller decides how to report them.
-    """
-    glb = goalprint(q1).glb(goalprint(q2))
-    _, align = goal_similarity(q1, q2)
-    pairs = align.renamed_pairs(q1, q2)
-    gen = msg(Goal(tuple(la for la, _ in pairs)),
-              Goal(tuple(ra for _, ra in pairs))).generalization
-    gen_print = goalprint(gen)
-    if glb == gen_print:
-        return None
-    return (glb, gen_print)

@@ -3,18 +3,12 @@ similarly structured subgoals, renaming search and similarity."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 from .depgraph import SCC
-from .syntax import (
-    Atom, Clause, Goal, Num, PredSymbol, Struct, Var, align, rename_vars, var_names,
-)
-
-CONJ = "','"  # encoding functor for conjunction nodes
-NECK = "':-'"  # encoding functor for the clause neck
+from .syntax import Atom, Clause, Goal, Num, Struct, Var, align, rename_vars, var_names
 
 
 @dataclass(frozen=True)
@@ -34,90 +28,50 @@ class Limits:
 
 
 # ---------------------------------------------------------------------------
-# Term encoding: goals and clauses as plain terms
-# ---------------------------------------------------------------------------
-
-def atom_to_term(atom: Atom) -> Struct:
-    return Struct(atom.pred.name, atom.args) if atom.args else Struct(atom.pred.name)
-
-
-def goal_to_term(goal: Goal):
-    """Right-folded conjunction term; None for the empty goal."""
-    if not goal.atoms:
-        return None
-    result = atom_to_term(goal.atoms[-1])
-    for atom in reversed(goal.atoms[:-1]):
-        result = Struct(CONJ, (atom_to_term(atom), result))
-    return result
-
-
-def _encode(entity):
-    if isinstance(entity, (Var, Num, Struct)):
-        return entity
-    if isinstance(entity, Atom):
-        return atom_to_term(entity)
-    if isinstance(entity, Goal):
-        return goal_to_term(entity)
-    if isinstance(entity, Clause):
-        body = goal_to_term(entity.body)
-        head = atom_to_term(entity.head)
-        return Struct(NECK, (head, body)) if body is not None else Struct(NECK, (head,))
-    raise TypeError(f"cannot encode {entity!r}")
-
-
-# ---------------------------------------------------------------------------
 # Node counts
 # ---------------------------------------------------------------------------
 
-def nodes(entity) -> int:
-    """Functor/constant node count; variables count 0, numerals count 1.
-
-    Goals and clauses count as terms built with conjunction and neck
-    functors, one node per conjunction and one per clause neck.
-    """
-    if isinstance(entity, SCC):
-        return sum(nodes(c) for c in entity.clauses)
-    if isinstance(entity, Goal) and not entity.atoms:
-        return 0
-    if entity is None:
-        return 0
-    enc = _encode(entity)
-    if isinstance(enc, Var):
-        return 0
-    if isinstance(enc, Num):
-        return 1
-    total = 0
-    stack = [enc]
+def _node_counts(entity) -> tuple:
+    """(functor and numeral nodes, variable occurrences) of a term, atom,
+    goal, clause or SCC, in one walk.  An atom is one node above its
+    arguments, a goal of n atoms adds n - 1 conjunction nodes and a clause
+    one neck node, as if goals and clauses were terms (Definition 1)."""
+    count = variables = 0
+    stack = [entity]
     while stack:
-        t = stack.pop()
-        if isinstance(t, Struct):
-            total += 1
-            stack.extend(t.args)
-        elif isinstance(t, Num):
-            total += 1
-    return total
+        e = stack.pop()
+        if isinstance(e, Var):
+            variables += 1
+        elif isinstance(e, Num):
+            count += 1
+        elif isinstance(e, (Struct, Atom)):
+            count += 1
+            stack.extend(e.args)
+        elif isinstance(e, Goal):
+            count += max(len(e.atoms) - 1, 0)
+            stack.extend(e.atoms)
+        elif isinstance(e, Clause):
+            count += 1
+            stack.extend((e.head, e.body))
+        elif isinstance(e, SCC):
+            stack.extend(e.clauses)
+        elif e is not None:
+            raise TypeError(f"cannot count the nodes of {e!r}")
+    return count, variables
+
+
+def nodes(entity) -> int:
+    """Functor/constant node count; variables count 0, numerals count 1."""
+    return _node_counts(entity)[0]
 
 
 def var_occurrences(entity) -> int:
-    if isinstance(entity, SCC):
-        return sum(var_occurrences(c) for c in entity.clauses)
-    if entity is None or (isinstance(entity, Goal) and not entity.atoms):
-        return 0
-    enc = _encode(entity)
-    total = 0
-    stack = [enc]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            total += 1
-        elif isinstance(t, Struct):
-            stack.extend(t.args)
-    return total
+    return _node_counts(entity)[1]
 
 
 def total_nodes(entity) -> int:
     """Node count including variable occurrences."""
-    return nodes(entity) + var_occurrences(entity)
+    return sum(_node_counts(entity))
 
 
 # ---------------------------------------------------------------------------
@@ -135,26 +89,8 @@ def strict_commonality(e1, e2) -> int:
             raise ValueError("cannot compare a goal with a non-goal")
         if len(e1.atoms) != len(e2.atoms):
             raise ValueError("strict commonality requires equally long goals")
-        if not e1.atoms:
-            return 0
-    matched, pairs, _ = align(_encode(e1), _encode(e2))
+    matched, pairs, _ = align(e1, e2)
     return matched + sum(x == y for x, y in pairs)
-
-
-def shared_var_count(e1, e2) -> int:
-    """Occurrences of identical variables at identical tree positions.
-
-    Positions only align below matching functors, which is exactly the
-    set of positions surviving in the msg.
-    """
-    if isinstance(e1, Goal) != isinstance(e2, Goal):
-        raise ValueError("cannot compare a goal with a non-goal")
-    if isinstance(e1, Goal) and len(e1.atoms) != len(e2.atoms):
-        raise ValueError("shared_var_count requires equally long goals")
-    ea, eb = _encode(e1), _encode(e2)
-    if ea is None or eb is None:
-        return 0
-    return sum(x == y for x, y in align(ea, eb)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +159,8 @@ def max_weight_matching(weights) -> list | None:
 
 
 # ---------------------------------------------------------------------------
-# Most specific generalization (anti-unification)
+# Anti-unification
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MsgResult:
-    generalization: object
-    subst1: dict  # generalization var name -> subterm of e1
-    subst2: dict
-
 
 def anti_unify(a, b, prefix: str, pairs: dict):
     """Anti-unification of two terms (Plotkin 1970, Reynolds 1970).
@@ -252,52 +181,6 @@ def anti_unify(a, b, prefix: str, pairs: dict):
     if (a, b) not in pairs:
         pairs[a, b] = Var(f"{prefix}{len(pairs) + 1}")
     return pairs[a, b]
-
-
-def msg(e1, e2) -> MsgResult:
-    """Anti-unify two terms, atoms of equal predicate, or goals of equal
-    length.  Repeated mismatch pairs reuse the same generalization
-    variable, which makes the result unique up to renaming."""
-    if isinstance(e1, Goal) != isinstance(e2, Goal):
-        raise ValueError("cannot generalize a goal with a non-goal")
-    if isinstance(e1, Goal):
-        if len(e1.atoms) != len(e2.atoms):
-            raise ValueError("msg requires positionally aligned goals")
-        if not e1.atoms:
-            return MsgResult(Goal(()), {}, {})
-    if isinstance(e1, Atom) and isinstance(e2, Atom) and e1.pred != e2.pred:
-        raise ValueError("msg of atoms requires equal predicates")
-
-    pairs: dict = {}
-    gen = anti_unify(_encode(e1), _encode(e2), "_M", pairs)
-    return MsgResult(_decode_like(gen, e1),
-                     {v.name: a for (a, _), v in pairs.items()},
-                     {v.name: b for (_, b), v in pairs.items()})
-
-
-def _decode_like(gen, template):
-    """Present a generalization in the shape of its inputs when possible."""
-    if isinstance(template, Goal):
-        conjuncts = _split_conj(gen)
-        atoms = []
-        for c in conjuncts:
-            if isinstance(c, Struct) and c.functor != CONJ:
-                atoms.append(Atom(PredSymbol(c.functor, len(c.args)), c.args))
-            else:
-                return gen  # an atom collapsed to a variable; keep raw term
-        return Goal(tuple(atoms))
-    if isinstance(template, Atom) and isinstance(gen, Struct):
-        return Atom(PredSymbol(gen.functor, len(gen.args)), gen.args)
-    return gen
-
-
-def _split_conj(term) -> list:
-    out = []
-    while isinstance(term, Struct) and term.functor == CONJ and len(term.args) == 2:
-        out.append(term.args[0])
-        term = term.args[1]
-    out.append(term)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +215,6 @@ def maximal_similar_subgoals(q1: Goal, q2: Goal):
     i1, i2 = _select_similar_indices(q1, q2)
     return (Goal(tuple(q1.atoms[i] for i in i1)),
             Goal(tuple(q2.atoms[i] for i in i2)))
-
-
-def enumerate_renamings(q1: Goal, q2: Goal):
-    """All injective mappings vars(q1) -> vars(q2), lexicographic order."""
-    v1 = sorted(var_names(q1))
-    v2 = sorted(var_names(q2))
-    if len(v1) > len(v2):
-        raise ValueError("enumerate_renamings requires #vars(q1) <= #vars(q2)")
-    for image in itertools.permutations(v2, len(v1)):
-        yield dict(zip(v1, image))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +264,7 @@ def _alignment_table(q1: Goal, q2: Goal) -> list:
     table = []
     for pred in sorted(groups, key=lambda p: (p.name, p.arity)):
         left, right = groups[pred]
-        cells = [[align(atom_to_term(q1.atoms[i]), atom_to_term(q2.atoms[j]))[:2]
-                  for j in right] for i in left]
+        cells = [[align(q1.atoms[i], q2.atoms[j])[:2] for j in right] for i in left]
         table.append((left, right, cells))
     return table
 

@@ -90,27 +90,6 @@ class _Normalizer:
             self.body.append(Atom(EQ, (lhs, Struct(term.functor, tuple(args)))))
             work.extend(reversed(pending))
 
-    def subst_vars_only(self, term):
-        """``term`` with each variable replaced by its image, rebuilt
-        bottom-up without recursion (arithmetic can nest deeply)."""
-        done: list = []  # rebuilt subterms, in order
-        work = [(term, False)]
-        while work:
-            t, args_done = work.pop()
-            if isinstance(t, Var):
-                done.append(self.image(t))
-            elif not isinstance(t, Struct):
-                done.append(t)
-            elif args_done:
-                start = len(done) - len(t.args)
-                args = tuple(done[start:])
-                del done[start:]
-                done.append(Struct(t.functor, args))
-            else:
-                work.append((t, True))
-                work.extend((a, False) for a in reversed(t.args))
-        return done[0]
-
 
 def _eliminate_var_unifications(body: list, head_params: set) -> list:
     """Substitute away internal single-binding variables.
@@ -194,7 +173,7 @@ def normalize_clause(clause: Clause) -> Clause:
                 nz.flatten(tv, lhs)
                 nz.flatten(tv, rhs)
         elif (pred.name, pred.arity) in ARITH_BUILTINS:
-            nz.body.append(Atom(pred, tuple(nz.subst_vars_only(a) for a in atom.args)))
+            nz.body.append(rename_vars(atom, nz.binder))
         else:
             call_args = []
             for a in atom.args:

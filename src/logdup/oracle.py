@@ -1,20 +1,36 @@
 """Reference implementations for property tests: an exhaustive
-commonality computation, an enumerator of every structure witness and a
-seeded generator of duplicated SCCs."""
+commonality computation, the most specific generalization, an enumerator
+of every structure witness, a seeded generator of duplicated SCCs and the
+goalprint glb check."""
 
 from __future__ import annotations
 
 import itertools
 import random
 import string
+from dataclasses import dataclass
+from typing import Optional
 
 from .depgraph import SCC, segment_clause
-from .metrics import Limits, predicate_multiset, strict_commonality
+from .fingerprint import goalprint
+from .metrics import (
+    Limits, anti_unify, goal_similarity, predicate_multiset, strict_commonality,
+)
 from .structure import ArgPermutation, _witness, _witness_combos
-from .syntax import Atom, Clause, Goal, PredSymbol, Var, rename_vars, var_names
+from .syntax import Atom, Clause, Goal, PredSymbol, Var, align, rename_vars, var_names
 
 MAX_ORACLE_ATOMS = 5
 MAX_ORACLE_VARS = 5
+
+
+def enumerate_renamings(q1: Goal, q2: Goal):
+    """All injective mappings vars(q1) -> vars(q2), lexicographic order."""
+    v1 = sorted(var_names(q1))
+    v2 = sorted(var_names(q2))
+    if len(v1) > len(v2):
+        raise ValueError("enumerate_renamings requires #vars(q1) <= #vars(q2)")
+    for image in itertools.permutations(v2, len(v1)):
+        yield dict(zip(v1, image))
 
 
 def _directed_max(src: Goal, dst: Goal) -> int:
@@ -50,6 +66,58 @@ def brute_force_commonality(q1: Goal, q2: Goal) -> int:
     if len(v2) < len(v1):
         return _directed_max(q2, q1)
     return max(_directed_max(q1, q2), _directed_max(q2, q1))
+
+
+# ---------------------------------------------------------------------------
+# Most specific generalization
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MsgResult:
+    generalization: object
+    subst1: dict  # generalization var name -> subterm of e1
+    subst2: dict
+
+
+def msg(e1, e2) -> MsgResult:
+    """Anti-unify two terms, two atoms of equal predicate, or two goals of
+    equal length atom by atom, whose predicates must agree position by
+    position.  Repeated mismatch pairs reuse the same generalization
+    variable, which makes the result unique up to renaming."""
+    if isinstance(e1, Goal) != isinstance(e2, Goal):
+        raise ValueError("cannot generalize a goal with a non-goal")
+    if isinstance(e1, Atom) != isinstance(e2, Atom):
+        raise ValueError("cannot generalize an atom with a non-atom")
+    pairs: dict = {}
+    if isinstance(e1, Goal):
+        if len(e1.atoms) != len(e2.atoms):
+            raise ValueError("msg requires positionally aligned goals")
+        gen = Goal(tuple(_msg_atom(a, b, pairs) for a, b in zip(e1.atoms, e2.atoms)))
+    elif isinstance(e1, Atom):
+        gen = _msg_atom(e1, e2, pairs)
+    else:
+        gen = anti_unify(e1, e2, "_M", pairs)
+    return MsgResult(gen, {v.name: a for (a, _), v in pairs.items()},
+                     {v.name: b for (_, b), v in pairs.items()})
+
+
+def _msg_atom(a: Atom, b: Atom, pairs: dict) -> Atom:
+    if a.pred != b.pred:
+        raise ValueError("msg of atoms requires equal predicates")
+    return Atom(a.pred, tuple(anti_unify(x, y, "_M", pairs) for x, y in zip(a.args, b.args)))
+
+
+def shared_var_count(e1, e2) -> int:
+    """Occurrences of identical variables at identical tree positions.
+
+    Positions only align below matching functors, which is exactly the
+    set of positions surviving in the msg.
+    """
+    if isinstance(e1, Goal) != isinstance(e2, Goal):
+        raise ValueError("cannot compare a goal with a non-goal")
+    if isinstance(e1, Goal) and len(e1.atoms) != len(e2.atoms):
+        raise ValueError("shared_var_count requires equally long goals")
+    return sum(x == y for x, y in align(e1, e2)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -153,3 +221,25 @@ def mutate_duplicate(scc: SCC, seed: int) -> tuple:
     for member in members:
         clauses.extend(new_clauses[inverse[member]])
     return SCC(tuple(members), tuple(clauses)), tuple(log)
+
+
+# ---------------------------------------------------------------------------
+# Goalprint glb vs generalization check
+# ---------------------------------------------------------------------------
+
+def check_glb_conjecture(q1: Goal, q2: Goal) -> Optional[tuple]:
+    """Compare the pointwise glb of two goalprints against the print of
+    the generalization of their best-aligned subgoals.
+
+    Returns None when they agree and (glb print, generalization print)
+    when they differ.  Disagreements are possible in principle, so the
+    caller decides how to report them.
+    """
+    glb = goalprint(q1).glb(goalprint(q2))
+    pairs = goal_similarity(q1, q2)[1].renamed_pairs(q1, q2)
+    gen = msg(Goal(tuple(la for la, _ in pairs)),
+              Goal(tuple(ra for _, ra in pairs))).generalization
+    gen_print = goalprint(gen)
+    if glb == gen_print:
+        return None
+    return (glb, gen_print)

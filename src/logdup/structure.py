@@ -9,9 +9,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .depgraph import SCC, ClauseSegments
-from .metrics import (
-    Limits, anti_unify, atom_to_term, goal_similarity, max_weight_matching, total_nodes,
-)
+from .metrics import Limits, anti_unify, goal_similarity, max_weight_matching, total_nodes
 from .syntax import Atom, Clause, Goal, PredSymbol, align, var_names
 
 
@@ -191,24 +189,20 @@ def _witness(s1: SCC, pred_map: dict, perms: dict, mapping, approximate: bool):
 
 
 def validate_witness(s1: SCC, s2: SCC, w: StructureWitness) -> bool:
-    """Re-apply pi and rho to every head and recursive call and check the
-    result reproduces the mapped clause syntactically."""
+    """Check that pi maps the head and recursive calls of every mapped
+    left clause onto the right ones under the witness's renaming of the
+    pair, one that is injective; a variable the renaming leaves out maps
+    to itself."""
     pred_map = w.clause_mapping.pred_dict
     perms = w.perm_dict
-    for (i, j), rho_items in zip(w.clause_mapping.pairs, w.renamings):
-        rho = dict(rho_items)
-        lseg, rseg = s1.segmented[i], s2.segmented[j]
-        if len(lseg.recursive_calls) != len(rseg.recursive_calls):
+    for (i, j), renaming in zip(w.clause_mapping.pairs, w.renamings):
+        table = _arg_table(s1.segmented[i], s2.segmented[j])
+        if table is None or any(p not in pred_map or p not in perms for p, _, _ in table):
             return False
-        lefts = (lseg.head,) + lseg.recursive_calls
-        rights = (rseg.head,) + rseg.recursive_calls
-        for la, ra in zip(lefts, rights):
-            if la.pred not in pred_map or pred_map[la.pred] != ra.pred:
-                return False
-            image = Atom(ra.pred, perms[la.pred].apply(la.args))
-            _, var_pairs, exact = align(atom_to_term(image), atom_to_term(ra))
-            if not exact or any(rho.get(x, x) != y for x, y in var_pairs):
-                return False
+        rho = _table_rho(table, pred_map, perms)
+        renaming = dict(renaming)
+        if rho is None or any(renaming.get(x, x) != y for x, y in rho.items()):
+            return False
     return True
 
 

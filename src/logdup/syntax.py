@@ -126,9 +126,6 @@ class Program:
     warnings: tuple = ()
     excluded: frozenset = frozenset()
 
-    def clauses(self, pred: PredSymbol) -> tuple:
-        return self.predicates.get(pred, ())
-
     def all_clauses(self) -> Iterator[Clause]:
         for clauses in self.predicates.values():
             yield from clauses
@@ -563,13 +560,15 @@ def var_names(entity) -> list:
 
 
 def align(a, b) -> tuple:
-    """Walk two terms position by position, descending only below
-    coinciding functors.
+    """Walk two terms, atoms or equally long goals position by position,
+    descending only below coinciding functors and predicates.
 
-    Returns ``(matched, pairs, exact)``: the number of functor and numeral
-    nodes that coincide, the ``(left name, right name)`` pair of every
-    position where both terms hold a variable (in pre-order), and whether
-    the terms differ in variable names only.
+    Returns ``(matched, pairs, exact)``: the number of functor, numeral,
+    predicate and conjunction nodes that coincide, the ``(left name, right
+    name)`` pair of every position where both hold a variable (in
+    pre-order), and whether the two differ in variable names only.  A goal
+    of n atoms has n - 1 conjunction nodes, so two goals count as the
+    right-folded conjunction terms they stand for.
     """
     matched = 0
     pairs = []
@@ -585,24 +584,43 @@ def align(a, b) -> tuple:
               and x.functor == y.functor and len(x.args) == len(y.args)):
             matched += 1
             stack.extend(zip(reversed(x.args), reversed(y.args)))
+        elif isinstance(x, Atom) and isinstance(y, Atom) and x.pred == y.pred:
+            matched += 1
+            stack.extend(zip(reversed(x.args), reversed(y.args)))
+        elif isinstance(x, Goal) and isinstance(y, Goal) and len(x.atoms) == len(y.atoms):
+            matched += max(len(x.atoms) - 1, 0)
+            stack.extend(zip(reversed(x.atoms), reversed(y.atoms)))
         else:
             exact = False
     return matched, pairs, exact
 
 
 def rename_vars(entity, mapping: dict):
-    """Apply a variable-name substitution; unmapped variables stay."""
-    if isinstance(entity, Var):
-        target = mapping.get(entity.name)
-        return entity if target is None else (target if isinstance(target, (Var, Num, Struct)) else Var(target))
-    if isinstance(entity, Num):
-        return entity
-    if isinstance(entity, Struct):
-        return Struct(entity.functor, tuple(rename_vars(a, mapping) for a in entity.args))
-    if isinstance(entity, Atom):
-        return Atom(entity.pred, tuple(rename_vars(a, mapping) for a in entity.args))
-    if isinstance(entity, Goal):
-        return Goal(tuple(rename_vars(a, mapping) for a in entity.atoms))
-    if isinstance(entity, Clause):
-        return Clause(rename_vars(entity.head, mapping), rename_vars(entity.body, mapping), entity.origin)
-    raise TypeError(f"cannot rename {entity!r}")
+    """Apply a variable-name substitution to a term, atom, goal or clause;
+    unmapped variables stay.  A name maps to a name or to a term.  Rebuilt
+    bottom-up without recursion, so terms of any depth are renamed."""
+    done: list = []  # rebuilt parts, in order
+    work: list = [(entity, None)]  # (item, its part count once they are queued)
+    while work:
+        e, n = work.pop()
+        if n is not None:
+            parts = tuple(done[len(done) - n:])
+            del done[len(done) - n:]
+            done.append(Struct(e.functor, parts) if isinstance(e, Struct)
+                        else Atom(e.pred, parts) if isinstance(e, Atom)
+                        else Goal(parts) if isinstance(e, Goal)
+                        else Clause(*parts, e.origin))
+        elif isinstance(e, Var):
+            target = mapping.get(e.name)
+            done.append(e if target is None
+                        else target if isinstance(target, (Var, Num, Struct)) else Var(target))
+        elif isinstance(e, Num):
+            done.append(e)
+        elif isinstance(e, (Struct, Atom, Goal, Clause)):
+            parts = ((e.head, e.body) if isinstance(e, Clause)
+                     else e.atoms if isinstance(e, Goal) else e.args)
+            work.append((e, len(parts)))
+            work.extend((x, None) for x in reversed(parts))
+        else:
+            raise TypeError(f"cannot rename {e!r}")
+    return done[0]

@@ -11,13 +11,12 @@ from fractions import Fraction
 from logdup import (
     Atom, Goal, PredSymbol, Struct, Var, brute_force_commonality,
     build_sccs, candidate_pairs, check_glb_conjecture, closeness, commonality,
-    msg, mutate_duplicate, nodes, normalize_program,
+    enumerate_renamings, msg, mutate_duplicate, nodes, normalize_program,
     parse_goal, parse_program, render_clause, scc_of, scc_print,
     scc_similarity, shared_var_count, strict_commonality,
 )
 from logdup.cli import NODE_COUNTING_NOTE
 from logdup.fingerprint import GoalPrint, scc_print_glb
-from logdup.metrics import enumerate_renamings
 from logdup.oracle import find_structure_witnesses
 from tests.conftest import (
     ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL, scc_named,

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from logdup import (
-    Atom, Goal, GoalAlignment, Limits, Num, PredSymbol, Struct, Var,
-    brute_force_commonality, commonality, goal_similarity,
+    Atom, Clause, Goal, GoalAlignment, Limits, Num, PredSymbol, Struct, Var,
+    brute_force_commonality, commonality, enumerate_renamings, goal_similarity,
     maximal_similar_subgoals, msg, nodes, parse_clause, parse_goal,
-    predicate_multiset, shared_var_count, strict_commonality, total_nodes,
+    predicate_multiset, shared_var_count, strict_commonality, total_nodes, var_occurrences,
 )
 from logdup import metrics
 from logdup.metrics import (
-    _alignment_table, _best_pairing, _WeightRows, enumerate_renamings, max_weight_matching,
+    _alignment_table, _best_pairing, _WeightRows, max_weight_matching,
 )
-from logdup.syntax import var_names
+from logdup.syntax import align, var_names
 
 Q1 = "p(f(X),g(Y,h(Z,a))), q(Z,X)"
 Q2 = "p(f(T),g(T,h(Z,b))), q(Z,T)"
@@ -83,6 +83,11 @@ def test_msg_reuses_variable_for_repeated_pairs():
     result = msg(parse_goal("p(X, X)"), parse_goal("p(Y, Z)"))
     left, right = result.generalization.atoms[0].args
     assert left != right
+
+
+def test_msg_rejects_goals_whose_predicates_differ():
+    with pytest.raises(ValueError):
+        msg(parse_goal("p(a), q(b)"), parse_goal("p(a), r(b)"))
 
 
 def test_shared_var_count_worked_example():
@@ -185,6 +190,89 @@ def test_lemma_decomposition_on_random_aligned_goals(shape, data):
     g1, g2 = _goal_for(shape, args1), _goal_for(shape, args2)
     gen = msg(g1, g2).generalization
     assert strict_commonality(g1, g2) == nodes(gen) + shared_var_count(g1, g2)
+
+
+# The measures take atoms, goals and clauses as they are.  The reference
+# encodes them as the one term Definition 1 counts: an atom as the compound
+# of its predicate, a goal as a right-folded conjunction and a clause under
+# a neck node, then walks that term recursively.
+
+def _encoded(entity):
+    if isinstance(entity, Atom):
+        return Struct(entity.pred.name, entity.args)
+    if isinstance(entity, Goal):
+        term = None  # the empty goal
+        for atom in reversed(entity.atoms):
+            term = _encoded(atom) if term is None else Struct("','", (_encoded(atom), term))
+        return term
+    if isinstance(entity, Clause):
+        head, body = _encoded(entity.head), _encoded(entity.body)
+        return Struct("':-'", (head,) if body is None else (head, body))
+    return entity
+
+
+def _reference_counts(term) -> tuple:
+    """(nodes, variable occurrences) of an encoded term."""
+    if term is None or isinstance(term, Var):
+        return 0, int(term is not None)
+    if isinstance(term, Num):
+        return 1, 0
+    counts = [_reference_counts(a) for a in term.args]
+    return 1 + sum(n for n, _ in counts), sum(v for _, v in counts)
+
+
+def _reference_align(a, b, out) -> list:
+    """[matched, variable pairs, exact] of two encoded terms, in pre-order."""
+    if isinstance(a, Var) and isinstance(b, Var):
+        out[1].append((a.name, b.name))
+    elif isinstance(a, Num) and isinstance(b, Num) and a.value == b.value:
+        out[0] += 1
+    elif (isinstance(a, Struct) and isinstance(b, Struct)
+          and a.functor == b.functor and len(a.args) == len(b.args)):
+        out[0] += 1
+        for x, y in zip(a.args, b.args):
+            _reference_align(x, y, out)
+    else:
+        out[2] = False
+    return out
+
+
+_preds = st.sampled_from([("p", 2), ("q", 1), ("r", 0), ("f", 2)])
+_atoms = _preds.flatmap(lambda pred: st.lists(_terms(), min_size=pred[1], max_size=pred[1])
+                        .map(lambda args: Atom(PredSymbol(*pred), tuple(args))))
+
+
+def _goals(n):
+    return st.lists(_atoms, min_size=n, max_size=n).map(lambda atoms: Goal(tuple(atoms)))
+
+
+def _same_shape_goals(shape):
+    n_args = sum(arity for _, arity in shape)
+    args = st.lists(_terms(), min_size=n_args, max_size=n_args)
+    return st.tuples(args, args).map(lambda ab: (_goal_for(shape, ab[0]), _goal_for(shape, ab[1])))
+
+
+_clauses = st.builds(Clause, _atoms, st.integers(0, 3).flatmap(_goals))
+
+
+@given(st.one_of(_terms(), _atoms, st.integers(0, 3).flatmap(_goals), _clauses))
+@settings(max_examples=300, deadline=None)
+def test_node_counts_equal_the_encoded_term(entity):
+    n, v = _reference_counts(_encoded(entity))
+    assert (nodes(entity), var_occurrences(entity), total_nodes(entity)) == (n, v, n + v)
+
+
+@given(st.one_of(st.tuples(_terms(), _terms()), st.tuples(_atoms, _atoms),
+                 st.integers(1, 3).flatmap(lambda n: st.tuples(_goals(n), _goals(n))),
+                 _shapes.flatmap(_same_shape_goals)))
+@settings(max_examples=300, deadline=None)
+def test_pair_measures_equal_the_encoded_terms(pair):
+    a, b = pair
+    matched, pairs, exact = _reference_align(_encoded(a), _encoded(b), [0, [], True])
+    assert align(a, b) == (matched, pairs, exact)
+    shared = sum(x == y for x, y in pairs)
+    assert strict_commonality(a, b) == matched + shared
+    assert shared_var_count(a, b) == shared
 
 
 @given(_shapes, st.data())

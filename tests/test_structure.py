@@ -5,17 +5,17 @@ from typing import Optional
 import pytest
 
 from logdup import (
-    SCC, ArgPermutation, Atom, Clause, ClauseSegments, Goal, Limits, PredSymbol,
-    SimilarityResult, Var, closeness, common_core,
+    SCC, ArgPermutation, Atom, Clause, ClauseMapping, ClauseSegments, Goal, Limits,
+    PredSymbol, SimilarityResult, StructureWitness, Var, closeness, common_core,
     goal_similarity, identity_witness, normalize_program, parse_program,
     render_clause, scc_similarity, self_similarity, strict_commonality,
     total_nodes, validate_witness,
 )
 from logdup import mutate_duplicate, structure
 from logdup.depgraph import build_sccs, scc_of
-from logdup.metrics import anti_unify, atom_to_term
+from logdup.metrics import anti_unify
 from logdup.oracle import find_structure_witnesses
-from logdup.syntax import align, rename_vars
+from logdup.syntax import Struct, align, rename_vars
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, REV_ALL, scc_named
 from tests.test_acceptance import FIXTURE, FIXTURE_PREDS
 
@@ -117,6 +117,28 @@ def test_moving_atom_across_recursive_call_lowers_sigma():
     moved = closeness(moved_scc, con)
     assert full.closeness == (Fraction(1), Fraction(1))
     assert moved.sigma < full.sigma
+
+
+def test_witness_renaming_must_be_injective():
+    source = "p(X,Y).\nq(Z,Z).\n"
+    s1, s2 = scc_named(source, "p", 2), scc_named(source, "q", 2)
+    p, q = PredSymbol("p", 2), PredSymbol("q", 2)
+    witness = StructureWitness(ClauseMapping(((0, 0),), ((p, q),)),
+                               ((p, ArgPermutation.identity(2)),),
+                               ((("X", "Z"), ("Y", "Z")),))
+    assert not validate_witness(s1, s2, witness)
+    with pytest.raises(ValueError):
+        scc_similarity(s1, s2, witness)
+    assert closeness(s1, s2) is None
+
+
+def test_validate_witness_rejects_unmapped_predicates(append_scc, concat_scc):
+    witness = next(find_structure_witnesses(append_scc, concat_scc))
+    assert not validate_witness(append_scc, concat_scc, StructureWitness(
+        ClauseMapping(witness.clause_mapping.pairs, ()), witness.arg_permutations,
+        witness.renamings))
+    assert not validate_witness(append_scc, concat_scc, StructureWitness(
+        witness.clause_mapping, (), witness.renamings))
 
 
 def test_identity_witness_validates(append_scc):
@@ -408,6 +430,10 @@ def _transform_atom(atom: Atom, pred_map: dict, perms: dict) -> Atom:
     return Atom(new_pred, perm.apply(atom.args))
 
 
+def _atom_term(atom: Atom) -> Struct:
+    return Struct(atom.pred.name, atom.args)
+
+
 def _match_renaming(pairs) -> Optional[dict]:
     """Simultaneous first-order matching of (source, target) atom pairs.
 
@@ -415,7 +441,7 @@ def _match_renaming(pairs) -> Optional[dict]:
     injective variable correspondence."""
     rho: dict = {}
     for src, dst in pairs:
-        _, var_pairs, exact = align(atom_to_term(src), atom_to_term(dst))
+        _, var_pairs, exact = align(_atom_term(src), _atom_term(dst))
         if not exact:
             return None
         for x, y in var_pairs:

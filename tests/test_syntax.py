@@ -161,6 +161,18 @@ def test_align_and_var_names_walk_deep_terms():
         assert len(var_names(term)) == names
 
 
+def test_rename_vars_walks_deep_terms():
+    nested = Var("X")
+    for _ in range(5_000):
+        nested = Struct("f", (nested,))
+    renamed = rename_vars(Atom(PredSymbol("p", 1), (nested,)), {"X": "Y"}).args[0]
+    depth = 0
+    while isinstance(renamed, Struct):
+        assert renamed.functor == "f" and len(renamed.args) == 1
+        renamed, depth = renamed.args[0], depth + 1
+    assert (depth, renamed) == (5_000, Var("Y"))
+
+
 def test_var_names_first_occurrence_order():
     clause = parse_clause("p(B, A) :- q(A, C).")
     assert list(var_names(clause)) == ["B", "A", "C"]
