@@ -19,8 +19,7 @@ from .oracle import (
 )
 from .structure import (
     ArgPermutation, ClauseMapping, SimilarityResult, StructureWitness,
-    closeness, common_core, identity_witness, scc_similarity, self_similarity,
-    validate_witness,
+    closeness, common_core, scc_similarity, self_similarity, validate_witness,
 )
 from .syntax import (
     Atom, Clause, Goal, Num, PredSymbol, Program, PrologSyntaxError, Struct,
@@ -40,8 +39,8 @@ __all__ = [
     "normalize_program", "brute_force_commonality", "enumerate_renamings",
     "mutate_duplicate",
     "ArgPermutation", "ClauseMapping", "SimilarityResult", "StructureWitness",
-    "closeness", "common_core", "identity_witness", "scc_similarity",
-    "self_similarity", "validate_witness", "Atom", "Clause", "Goal", "Num",
+    "closeness", "common_core", "scc_similarity", "self_similarity",
+    "validate_witness", "Atom", "Clause", "Goal", "Num",
     "PredSymbol", "Program", "PrologSyntaxError", "Struct", "Var",
     "parse_clause", "parse_goal", "parse_program", "parse_term",
     "render_atom", "render_clause", "render_term",

@@ -175,8 +175,9 @@ def run(config: Config):
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            print(f"logdup: cannot read {path}: {exc.strerror}", file=sys.stderr)
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            print(f"logdup: cannot read {path}: {reason}", file=sys.stderr)
             return 2, None
         try:
             programs.append(parse_program(text, filename=path))

@@ -28,12 +28,6 @@ class SCC:
         """``segment_clause`` of each clause, in clause order."""
         return tuple(segment_clause(c, self) for c in self.clauses)
 
-    @cached_property
-    def self_similarities(self) -> dict:
-        """Self-similarity per (vars limit, group limit), filled by
-        ``structure.self_similarity``."""
-        return {}
-
     def clauses_of(self, pred: PredSymbol) -> tuple:
         return tuple(c for c in self.clauses if c.head.pred == pred)
 

@@ -10,7 +10,7 @@ from typing import Optional
 
 from .depgraph import SCC, ClauseSegments
 from .metrics import Limits, anti_unify, goal_similarity, max_weight_matching, total_nodes
-from .syntax import Atom, Clause, Goal, PredSymbol, align, var_names
+from .syntax import Atom, Clause, Goal, PredSymbol, align
 
 
 @dataclass(frozen=True)
@@ -218,11 +218,17 @@ def validate_witness(s1: SCC, s2: SCC, w: StructureWitness) -> bool:
 # the witness: the whole contribution depends on the two clauses alone,
 # and closeness computes it once per clause pair.
 
+def _matched_nodes(seg: ClauseSegments) -> int:
+    """What a witness matches of a clause outside its segments: the neck,
+    and the head and recursive calls in full."""
+    return 1 + sum(total_nodes(a) for a in (seg.head,) + seg.recursive_calls)
+
+
 def _clause_pair_score(lseg: ClauseSegments, rseg: ClauseSegments, limits: Limits = Limits()):
     """The Definition-9 contribution of a clause pair mapped by some
     witness, with the segment alignments that realize it and whether any
     of them is approximate."""
-    score = 1 + sum(total_nodes(a) for a in (rseg.head,) + rseg.recursive_calls)
+    score = _matched_nodes(rseg)
     alignments = []
     approximate = False
     for lq, rq in zip(lseg.segments, rseg.segments):
@@ -241,26 +247,13 @@ def scc_similarity(s1: SCC, s2: SCC, w: StructureWitness, limits: Limits = Limit
                for i, j in w.clause_mapping.pairs)
 
 
-def identity_witness(s: SCC) -> StructureWitness:
-    mapping = []
-    for i, seg in enumerate(s.segmented):
-        names = var_names(Goal((seg.head,) + seg.recursive_calls))
-        mapping.append((i, i, {n: n for n in names}))
-    return _witness(s, {q: q for q in s.members},
-                    {q: ArgPermutation.identity(q.arity) for q in s.members},
-                    mapping, False)
-
-
-def self_similarity(s: SCC, limits: Limits = Limits()) -> int:
-    """sigma(s, s, identity); the closeness denominator N_[s].  Using the
-    self-similarity rather than the raw node total makes closeness (1,1)
-    for duplicates by construction.  Computed once per SCC and commonality
-    limits (the only ones it depends on), and kept on the SCC."""
-    cache = s.self_similarities
-    key = (limits.exact_vars, limits.exact_group)
-    if key not in cache:
-        cache[key] = scc_similarity(s, s, identity_witness(s), limits)
-    return cache[key]
+def self_similarity(s: SCC) -> int:
+    """The closeness denominator N_[s]: sigma(s, s) under the identity
+    witness, which matches every node of every clause.  A segment's
+    commonality with any goal is at most its node total, so no witness
+    matches more, and closeness is (1,1) for duplicates by construction."""
+    return sum(_matched_nodes(seg) + sum(total_nodes(q) for q in seg.segments)
+               for seg in s.segmented)
 
 
 def closeness(s1: SCC, s2: SCC, limits: Limits = Limits()) -> Optional[SimilarityResult]:
@@ -306,8 +299,8 @@ def closeness(s1: SCC, s2: SCC, limits: Limits = Limits()) -> Optional[Similarit
     total, pred_map, perms, mapping, approx = best
     witness = _witness(s1, pred_map, perms, [(i, j, rho) for i, j, rho, _ in mapping],
                        approx or truncated)
-    n1 = self_similarity(s1, limits)
-    n2 = self_similarity(s2, limits)
+    n1 = self_similarity(s1)
+    n2 = self_similarity(s2)
     gamma = (Fraction(total, n1) if n1 else Fraction(0),
              Fraction(total, n2) if n2 else Fraction(0))
     return SimilarityResult(total, gamma, (n1, n2), witness,

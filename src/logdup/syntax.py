@@ -428,15 +428,18 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
         first = parser._peek()
         line += text.count("\n", counted, first[2])
         counted = first[2]
-        if first[0] == "punct" and first[1] == ":-":
+        directive = first[0] == "punct" and first[1] == ":-"
+        if directive:
             parser._next()
-            parser.parse_term(1200)
-            parser._expect(".", "end")
+        parser.fresh_counter = 0
+        try:
+            term = parser.parse_term(1200)
+        except RecursionError:
+            parser._error("term nested too deeply", first)
+        parser._expect(".", "end")
+        if directive:
             warnings.append(f"{filename}:{line}: directive skipped")
             continue
-        parser.fresh_counter = 0
-        term = parser.parse_term(1200)
-        parser._expect(".", "end")
         origin = (filename, line)
         if isinstance(term, Struct) and term.functor == ":-" and len(term.args) == 2:
             head_term, body_term = term.args

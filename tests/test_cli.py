@@ -98,6 +98,17 @@ def test_unreadable_path_exits_two(tmp_path, capsys):
     assert main([str(tmp_path / "missing.pl")]) == 2
 
 
+def test_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    good = write(tmp_path, "good.pl", APPEND + CONCAT)
+    latin = tmp_path / "latin.pl"
+    latin.write_bytes("p('\u00e9').".encode("latin-1"))
+    assert main([good, str(latin)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"logdup: cannot read {latin}: ")
+    assert "in position 3" in captured.err
+
+
 def test_invalid_threshold_rejected():
     result = run_cli(["--threshold", "2"])
     assert result.returncode == 2
@@ -116,6 +127,15 @@ def test_partial_parse_failure_becomes_warning(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert any("parse error" in w for w in report["warnings"])
     assert len(report["pairs"]) == 1
+
+
+def test_deeply_nested_term_becomes_a_parse_warning(tmp_path, capsys):
+    good = write(tmp_path, "good.pl", APPEND + CONCAT)
+    deep = write(tmp_path, "deep.pl", "p(" + "f(" * 1000 + "a" + ")" * 1000 + ").\n")
+    assert main([good, deep]) == 0
+    out = capsys.readouterr().out
+    assert f"warning: parse error: {deep}:1:1: term nested too deeply" in out
+    assert "duplicate: [append/3] ~ [concat/3]" in out
 
 
 def test_threshold_monotonicity(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from logdup import (
     SCC, ArgPermutation, Atom, Clause, ClauseMapping, ClauseSegments, Goal, Limits,
     PredSymbol, SimilarityResult, StructureWitness, Var, closeness, common_core,
-    goal_similarity, identity_witness, normalize_program, parse_program,
+    goal_similarity, normalize_program, parse_program,
     render_clause, scc_similarity, self_similarity, strict_commonality,
     total_nodes, validate_witness,
 )
@@ -16,8 +16,8 @@ from logdup.depgraph import build_sccs, scc_of
 from logdup.metrics import anti_unify
 from logdup.oracle import find_structure_witnesses
 from logdup.syntax import Struct, align, rename_vars
-from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, REV_ALL, scc_named
-from tests.test_acceptance import FIXTURE, FIXTURE_PREDS
+from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL, scc_named
+from tests.test_acceptance import FIXTURE, FIXTURE_PREDS, _scale_corpus
 
 
 def test_arg_permutation_apply():
@@ -141,11 +141,6 @@ def test_validate_witness_rejects_unmapped_predicates(append_scc, concat_scc):
         witness.clause_mapping, (), witness.renamings))
 
 
-def test_identity_witness_validates(append_scc):
-    witness = identity_witness(append_scc)
-    assert validate_witness(append_scc, append_scc, witness)
-
-
 def test_common_core_of_normalized_pair_matches_map_skeleton():
     source = """
     rev_all([],[]).
@@ -193,11 +188,6 @@ def test_mutual_recursion_pair():
     assert result.closeness == (Fraction(1), Fraction(1))
 
 
-def _fresh(s):
-    """A copy of ``s`` that shares none of its cached values."""
-    return SCC(s.members, s.clauses)
-
-
 def _assert_closeness_is_best_witness(s1, s2):
     witnesses = list(find_structure_witnesses(s1, s2))
     result = closeness(s1, s2)
@@ -205,8 +195,7 @@ def _assert_closeness_is_best_witness(s1, s2):
         assert result is None
     else:
         assert result.sigma == max(scc_similarity(s1, s2, w) for w in witnesses)
-        assert result.denominators == (self_similarity(_fresh(s1)),
-                                       self_similarity(_fresh(s2)))
+        assert result.denominators == (self_similarity(s1), self_similarity(s2))
         assert scc_similarity(s1, s2, result.witness) == result.sigma
 
 
@@ -260,35 +249,32 @@ def test_closeness_scores_each_segment_pair_once(monkeypatch):
     s1 = scc_named(WIDE_LEFT, "w6", 6)
     s2 = scc_named(WIDE_RIGHT, "v6", 6)
     calls = _counting(monkeypatch, "goal_similarity")
+    searches = _counting(monkeypatch, "scc_similarity")
     result = closeness(s1, s2)
     assert result.closeness == (Fraction(1), Fraction(1))
-    # the two compatible clause pairs have 1 and 2 segments, and each
-    # side's self-similarity scores its own 1 + 2 segments
-    assert len(calls) <= (1 + 2) + 2 * (1 + 2)
+    # the two compatible clause pairs have 1 and 2 segments; the
+    # self-similarity denominators count nodes and search nothing
+    assert len(calls) <= 1 + 2
+    assert searches == []
 
 
-def test_self_similarity_once_per_scc(monkeypatch, append_scc, concat_scc):
-    others = [concat_scc, mutate_duplicate(append_scc, 1)[0],
-              mutate_duplicate(concat_scc, 2)[0]]
-    calls = _counting(monkeypatch, "scc_similarity")
-    for other in others:
-        assert closeness(append_scc, other).closeness == (Fraction(1), Fraction(1))
-    assert sum(1 for s1, s2, *_ in calls if s1 is append_scc and s2 is append_scc) == 1
+# One 40-atom segment of one predicate: beyond the exact limits, so its
+# commonality with itself is searched greedily.
+CHAIN = "chain(X0,X40) :- " + ", ".join(f"link(X{i},X{i + 1})" for i in range(40)) + "."
 
 
-def test_self_similarity_cache_is_keyed_by_limits(monkeypatch, add1_scc):
-    calls = _counting(monkeypatch, "scc_similarity")
-    narrow = Limits(exact_vars=1, exact_group=1)
-    default = self_similarity(add1_scc)
-    limited = self_similarity(add1_scc, narrow)
-    assert limited == self_similarity(_fresh(add1_scc), narrow)
-    assert default == self_similarity(add1_scc) == 26
-    assert self_similarity(add1_scc, narrow) == limited
-    # the arity and witness-cap limits do not enter self-similarity
-    assert self_similarity(add1_scc, Limits(arity=1, witness_cap=1)) == default
-    assert self_similarity(add1_scc, Limits(1, 1, 2, 3)) == limited
-    limits = [args[3:] for args in calls if args[0] is add1_scc]
-    assert limits == [(Limits(),), (narrow,)]
+def test_self_similarity_equals_sigma_of_each_scc_with_itself():
+    # N counts every node of an SCC; its closeness with itself, exact or
+    # greedy, reaches that count whatever the limits
+    for source in (CORPUS, FIXTURE, _scale_corpus(), CHAIN):
+        program = parse_program(source)
+        for prog in (program, normalize_program(program)):
+            for s in build_sccs(prog):
+                n = self_similarity(s)
+                for limits in (Limits(), Limits(exact_vars=1, exact_group=1)):
+                    result = closeness(s, s, limits)
+                    assert result.sigma == n, (s.name(), limits)
+                    assert result.closeness == (Fraction(1), Fraction(1))
 
 
 # References for the witness invariant.  They transform and rename the

@@ -85,6 +85,9 @@ SYNTAX_ERRORS = [
     ("p(a) '.' q(b).", (1, 6), "expected '.', found \"'.'\""),
     ("p([a ']' ]).", (1, 6), "expected ',', '|' or ']', found \"']'\""),
     ("p([a '|' T]).", (1, 6), "expected ',', '|' or ']', found \"'|'\""),
+    # too deep for the recursive parser: reported at the clause's first token
+    ("p(" + "f(" * 1000 + "a" + ")" * 1000 + ").", (1, 1), "term nested too deeply"),
+    ("q(a).\n  p(" + "(" * 1000 + "a" + ")" * 1000 + ").", (2, 3), "term nested too deeply"),
 ]
 
 
