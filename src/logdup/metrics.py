@@ -192,29 +192,31 @@ def predicate_multiset(goal: Goal) -> Counter:
     return Counter(a.pred for a in goal.atoms)
 
 
-def _select_similar_indices(q1: Goal, q2: Goal):
-    """Indices of the retained atoms, first occurrences in source order."""
-    shared = predicate_multiset(q1) & predicate_multiset(q2)
-
-    def select(goal):
-        remaining = Counter(shared)
-        picked = []
+def _similar_groups(q1: Goal, q2: Goal) -> list:
+    """The maximal pair of similarly structured subgoals as atom indices:
+    per predicate both goals call, in (name, arity) order, the indices of
+    its first n atoms in q1 and in q2, where n is the smaller count."""
+    groups: dict = {}
+    for side, goal in enumerate((q1, q2)):
         for i, atom in enumerate(goal.atoms):
-            if remaining[atom.pred] > 0:
-                remaining[atom.pred] -= 1
-                picked.append(i)
-        return tuple(picked)
-
-    return select(q1), select(q2)
+            groups.setdefault(atom.pred, ([], []))[side].append(i)
+    shared = []
+    for pred in sorted(groups, key=lambda p: (p.name, p.arity)):
+        left, right = groups[pred]
+        n = min(len(left), len(right))
+        if n:
+            shared.append((left[:n], right[:n]))
+    return shared
 
 
 def maximal_similar_subgoals(q1: Goal, q2: Goal):
     """The maximal pair of similarly structured subgoals; atoms are
     retained in source order.  Disjoint predicate sets yield two empty
     goals."""
-    i1, i2 = _select_similar_indices(q1, q2)
-    return (Goal(tuple(q1.atoms[i] for i in i1)),
-            Goal(tuple(q2.atoms[i] for i in i2)))
+    groups = _similar_groups(q1, q2)
+    i1 = sorted(i for left, _ in groups for i in left)
+    i2 = sorted(j for _, right in groups for j in right)
+    return Goal(tuple(q1.atoms[i] for i in i1)), Goal(tuple(q2.atoms[j] for j in i2))
 
 
 # ---------------------------------------------------------------------------
@@ -223,50 +225,33 @@ def maximal_similar_subgoals(q1: Goal, q2: Goal):
 
 @dataclass(frozen=True)
 class GoalAlignment:
-    """Witness for a commonality/similarity value.
-
-    ``renaming`` maps variables of the smaller-variable goal onto the
-    other goal's variables; ``swapped`` is True when that smaller goal is
-    the second argument.  ``atom_pairing`` pairs atom indices of the first
-    argument with indices of the second.
-    """
+    """Witness for a commonality/similarity value: ``renaming`` maps
+    variables of the first goal onto the second goal's variables, and
+    ``atom_pairing`` pairs atom indices of the first goal with indices of
+    the second."""
 
     renaming: tuple = ()  # sorted tuple[(from, to), ...]
     atom_pairing: tuple = ()  # tuple[(i1, i2), ...]
     value: int = 0
-    swapped: bool = False
     approximate: bool = False
-
-    @property
-    def renaming_dict(self) -> dict:
-        return dict(self.renaming)
 
     def renamed_pairs(self, q1: Goal, q2: Goal) -> list:
         """(left atom, right atom) for each pair of ``atom_pairing``, the
-        left atom renamed into the right goal's variables."""
-        if self.swapped:
-            mapping = {v: Var(k) for k, v in self.renaming}
-        else:
-            mapping = {k: Var(v) for k, v in self.renaming}
+        left atom renamed into the right goal's variables.  A left
+        variable the renaming leaves out gets a trailing ``'``, which no
+        parsed name has, so it never coincides with a right variable."""
+        mapping = {x: x + "'" for x in var_names(q1)}
+        mapping.update(self.renaming)
         return [(rename_vars(q1.atoms[i], mapping), q2.atoms[j])
                 for i, j in self.atom_pairing]
 
 
-def _alignment_table(q1: Goal, q2: Goal) -> list:
-    """Same-predicate atom groups in predicate order, each as (indices in
-    q1, indices in q2, cells): cell [a][b] holds the coinciding node count
-    and the aligned variable pairs of the a-th and b-th atoms."""
-    groups: dict = {}
-    for i, atom in enumerate(q1.atoms):
-        groups.setdefault(atom.pred, ([], []))[0].append(i)
-    for j, atom in enumerate(q2.atoms):
-        groups.setdefault(atom.pred, ([], []))[1].append(j)
-    table = []
-    for pred in sorted(groups, key=lambda p: (p.name, p.arity)):
-        left, right = groups[pred]
-        cells = [[align(q1.atoms[i], q2.atoms[j])[:2] for j in right] for i in left]
-        table.append((left, right, cells))
-    return table
+def _alignment_table(q1: Goal, q2: Goal, groups: list) -> list:
+    """Each (indices in q1, indices in q2) group of ``_similar_groups`` as
+    (left, right, cells): cell [a][b] holds the coinciding node count and
+    the aligned variable pairs of the a-th left and b-th right atoms."""
+    return [(left, right, [[align(q1.atoms[i], q2.atoms[j])[:2] for j in right] for i in left])
+            for left, right in groups]
 
 
 def _best_pairing(table: list, rho: dict):
@@ -363,28 +348,25 @@ class _WeightRows:
             self.optimum[g] = optimum
 
 
-def _directed_commonality(q1: Goal, q2: Goal, limits: Limits):
-    """Max strict commonality over renamings vars(q1)->vars(q2) and
-    permutations of q2, assuming Pi(q1) == Pi(q2).
+def _directed_commonality(q1: Goal, q2: Goal, groups: list, v1: list, v2: list,
+                          limits: Limits):
+    """Max strict commonality over renamings of the sorted variables v1
+    onto v2 and pairings within the same-predicate ``groups`` of q1 and
+    q2, which hold equally many atoms.
 
     Variables are bound in sorted order, each to the images in sorted
     order, so the first optimum found is the witness.  Within the exact
     limits a branch-and-bound prunes on ``_WeightRows.total``; beyond
     them each variable greedily takes the image with the best bound.
     """
-    n = len(q1.atoms)
-    if n == 0:
-        return GoalAlignment(value=0)
-    base = n - 1
-    table = _alignment_table(q1, q2)
+    base = sum(len(left) for left, _ in groups) - 1
+    table = _alignment_table(q1, q2, groups)
     rows = _WeightRows(table)
-    v1 = sorted(var_names(q1))
-    v2 = sorted(var_names(q2))
     rho: dict = {}
     used: set = set()
 
     if not (len(v1) <= limits.exact_vars
-            and max((len(g[0]) for g in table), default=0) <= limits.exact_group):
+            and max(len(left) for left, _ in groups) <= limits.exact_group):
         for x in v1:
             best_y, best_s = None, -1
             for y in v2:
@@ -431,42 +413,45 @@ def _search(v1: list, v2: list, rows: _WeightRows, base: int,
     return best
 
 
-def commonality(q1: Goal, q2: Goal, limits: Limits = Limits()):
-    """Commonality C (Definition 4) with a witness.
+def _commonality(q1: Goal, q2: Goal, groups: list, limits: Limits) -> GoalAlignment:
+    """The commonality of the atoms of q1 and q2 that ``groups`` selects.
 
-    The renaming always runs from the goal with fewer variables.  With
+    The renaming is searched from the side with fewer variables.  With
     equal counts an exact search runs from q1 only: a full renaming is
     then a bijection, so the search from q2 ranges over the inverse
     renamings and reaches the same value.  Beyond the exact-mode limits
     the result is a greedy lower bound, both directions are searched and
-    the larger taken, and the witness is flagged approximate.
+    the larger taken, and the witness is flagged approximate.  A search
+    from q2 is turned around, so the witness maps q1 onto q2.
     """
+    if not groups:
+        return GoalAlignment()
+    v1 = sorted(var_names(Goal(tuple(q1.atoms[i] for left, _ in groups for i in left))))
+    v2 = sorted(var_names(Goal(tuple(q2.atoms[j] for _, right in groups for j in right))))
+    fwd = None
+    if len(v1) <= len(v2):
+        fwd = _directed_commonality(q1, q2, groups, v1, v2, limits)
+        if len(v1) < len(v2) or not fwd.approximate:
+            return fwd
+    rev = _directed_commonality(q2, q1, [(right, left) for left, right in groups], v2, v1, limits)
+    if fwd is not None and rev.value <= fwd.value:
+        return fwd
+    return GoalAlignment(tuple(sorted((y, x) for x, y in rev.renaming)),
+                         tuple(sorted((i, j) for j, i in rev.atom_pairing)),
+                         rev.value, rev.approximate)
+
+
+def commonality(q1: Goal, q2: Goal, limits: Limits = Limits()) -> GoalAlignment:
+    """Commonality C (Definition 4) of two similarly structured goals,
+    with its witness; ``value`` is the figure."""
     if predicate_multiset(q1) != predicate_multiset(q2):
         raise ValueError("commonality requires similarly structured goals")
-    k1, k2 = len(var_names(q1)), len(var_names(q2))
-    fwd = None
-    if k1 <= k2:
-        fwd = _directed_commonality(q1, q2, limits)
-        if k1 < k2 or not fwd.approximate:
-            return fwd.value, fwd
-    rev = _directed_commonality(q2, q1, limits)
-    if fwd is not None and rev.value <= fwd.value:
-        return fwd.value, fwd
-    flipped = GoalAlignment(rev.renaming, tuple(sorted((i, j) for j, i in rev.atom_pairing)),
-                            rev.value, swapped=True, approximate=rev.approximate)
-    return rev.value, flipped
+    return _commonality(q1, q2, _similar_groups(q1, q2), limits)
 
 
-def goal_similarity(q1: Goal, q2: Goal, limits: Limits = Limits()):
+def goal_similarity(q1: Goal, q2: Goal, limits: Limits = Limits()) -> GoalAlignment:
     """Similarity sigma (Definition 5): commonality of the maximal pair of
-    similarly structured subgoals; 0 with an empty witness when that pair
-    is empty.  Pairing indices refer to the original goals."""
-    i1, i2 = _select_similar_indices(q1, q2)
-    if not i1:
-        return 0, GoalAlignment()
-    s1 = Goal(tuple(q1.atoms[i] for i in i1))
-    s2 = Goal(tuple(q2.atoms[i] for i in i2))
-    value, align = commonality(s1, s2, limits)
-    pairing = tuple(sorted((i1[a], i2[b]) for a, b in align.atom_pairing))
-    return value, GoalAlignment(align.renaming, pairing, value,
-                                align.swapped, align.approximate)
+    similarly structured subgoals, with its witness over the original
+    goals' atom indices; 0 with an empty witness when that pair is
+    empty."""
+    return _commonality(q1, q2, _similar_groups(q1, q2), limits)

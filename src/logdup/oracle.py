@@ -236,7 +236,7 @@ def check_glb_conjecture(q1: Goal, q2: Goal) -> Optional[tuple]:
     caller decides how to report them.
     """
     glb = goalprint(q1).glb(goalprint(q2))
-    pairs = goal_similarity(q1, q2)[1].renamed_pairs(q1, q2)
+    pairs = goal_similarity(q1, q2).renamed_pairs(q1, q2)
     gen = msg(Goal(tuple(la for la, _ in pairs)),
               Goal(tuple(ra for _, ra in pairs))).generalization
     gen_print = goalprint(gen)

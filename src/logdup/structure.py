@@ -232,8 +232,8 @@ def _clause_pair_score(lseg: ClauseSegments, rseg: ClauseSegments, limits: Limit
     alignments = []
     approximate = False
     for lq, rq in zip(lseg.segments, rseg.segments):
-        value, align = goal_similarity(lq, rq, limits)
-        score += value
+        align = goal_similarity(lq, rq, limits)
+        score += align.value
         alignments.append(align)
         approximate = approximate or align.approximate
     return score, tuple(alignments), approximate

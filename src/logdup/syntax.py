@@ -286,10 +286,18 @@ class _Parser:
                 break
             prec, optype = entry
             self.pos += 1
-            right = self.parse_term(prec if optype == "xfy" else prec - 1)
+            # Each xfy operator is the only one of its priority, so a chain
+            # of it is read in a loop, not one recursion per operand, and
+            # nested from the right.
+            operands = [left, self.parse_term(prec - 1)]
+            while optype == "xfy" and tokens[self.pos][1] == op:
+                self.pos += 1
+                operands.append(self.parse_term(prec - 1))
             if op == ":-" and isinstance(left, Struct) and left.functor == ":-" and len(left.args) == 2:
                 self._error("chained ':-'", tok)
-            left = Struct(op, (left, right))
+            left = operands.pop()
+            while operands:
+                left = Struct(op, (operands.pop(), left))
         return left
 
     def _primary(self):
@@ -369,9 +377,16 @@ _NON_DEFINITE = {";": "';'", "->": "'->'", "\\+": "'\\+'", "!": "'!'"}
 
 
 def _flatten_conj(term) -> list:
-    if isinstance(term, Struct) and term.functor == "," and len(term.args) == 2:
-        return _flatten_conj(term.args[0]) + _flatten_conj(term.args[1])
-    return [term]
+    """The conjuncts of a ','-tree, left to right."""
+    conjuncts = []
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Struct) and t.functor == "," and len(t.args) == 2:
+            stack.extend(reversed(t.args))
+        else:
+            conjuncts.append(t)
+    return conjuncts
 
 
 def _term_to_atom(term) -> Atom:

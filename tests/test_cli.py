@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +137,23 @@ def test_deeply_nested_term_becomes_a_parse_warning(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"warning: parse error: {deep}:1:1: term nested too deeply" in out
     assert "duplicate: [append/3] ~ [concat/3]" in out
+
+
+def test_long_body_is_analyzed(tmp_path, capsys):
+    good = write(tmp_path, "good.pl", APPEND + CONCAT)
+    long = write(tmp_path, "long.pl", "p(X) :- " + ", ".join(["q(X)"] * 5000) + ".\n")
+    assert main([good, long]) == 0
+    out = capsys.readouterr().out
+    assert "parse error" not in out
+    assert "duplicate: [append/3] ~ [concat/3]" in out
+
+
+def test_readme_example_output(tmp_path, capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    source = readme.split("$ cat > examples.pl <<'EOF'\n", 1)[1].split("EOF\n", 1)[0]
+    shown = readme.split("$ logdup examples.pl --emit-common-core\n", 1)[1].split("```", 1)[0]
+    assert main([write(tmp_path, "examples.pl", source), "--emit-common-core"]) == 0
+    assert capsys.readouterr().out == shown
 
 
 def test_threshold_monotonicity(tmp_path):

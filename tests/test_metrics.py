@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from logdup import (
     Atom, Clause, Goal, GoalAlignment, Limits, Num, PredSymbol, Struct, Var,
@@ -12,7 +12,7 @@ from logdup import (
 )
 from logdup import metrics
 from logdup.metrics import (
-    _alignment_table, _best_pairing, _WeightRows, max_weight_matching,
+    _alignment_table, _best_pairing, _similar_groups, _WeightRows, max_weight_matching,
 )
 from logdup.syntax import align, var_names
 
@@ -126,29 +126,28 @@ def test_enumerate_renamings_count():
 def test_commonality_worked_example():
     g1 = parse_goal("p(a,f(A)), q(A,B)")
     g2 = parse_goal("q(Y,Z), p(f(X),Y)")
-    value, align = commonality(g1, g2)
-    assert value == 5
-    assert align.renaming_dict == {"A": "Y", "B": "Z"}
+    align = commonality(g1, g2)
+    assert align.value == 5
+    assert dict(align.renaming) == {"A": "Y", "B": "Z"}
     assert not align.approximate
 
 
 def test_commonality_self_reaches_total_nodes():
     goal = parse_goal("p(X)")
-    value, _ = commonality(goal, goal)
-    assert value == total_nodes(goal) == 2
+    assert commonality(goal, goal).value == total_nodes(goal) == 2
 
 
 def test_goal_similarity_worked_examples():
     g1 = parse_goal("p(a,f(A)), s(A), q(A,B)")
     g2 = parse_goal("q(Y,Z), p(f(X),Y)")
-    assert goal_similarity(g1, g2)[0] == 5
+    assert goal_similarity(g1, g2).value == 5
     assert goal_similarity(parse_goal("reverse(X,Y)"),
-                           parse_goal("N is X+1, Y is N*N"))[0] == 0
+                           parse_goal("N is X+1, Y is N*N")).value == 0
 
 
 def test_goal_similarity_empty_pair():
-    value, align = goal_similarity(parse_goal("p(a)"), parse_goal("q(b)"))
-    assert value == 0
+    align = goal_similarity(parse_goal("p(a)"), parse_goal("q(b)"))
+    assert align.value == 0
     assert align.atom_pairing == ()
 
 
@@ -282,12 +281,43 @@ def test_goal_similarity_symmetry_and_bound(shape, data):
     args1 = data.draw(st.lists(_terms(1), min_size=n_args, max_size=n_args))
     args2 = data.draw(st.lists(_terms(1), min_size=n_args, max_size=n_args))
     g1, g2 = _goal_for(shape, args1), _goal_for(shape, args2)
-    v12, a12 = goal_similarity(g1, g2)
-    v21, a21 = goal_similarity(g2, g1)
+    a12 = goal_similarity(g1, g2)
+    a21 = goal_similarity(g2, g1)
     if not (a12.approximate or a21.approximate):
-        assert v12 == v21
+        assert a12.value == a21.value
     left, right = maximal_similar_subgoals(g1, g2)
-    assert v12 <= min(total_nodes(left), total_nodes(right))
+    assert a12.value <= min(total_nodes(left), total_nodes(right))
+
+
+@given(st.integers(1, 4).flatmap(_goals), st.integers(1, 4).flatmap(_goals))
+@example(parse_goal("r(B,B,D,D,C,F,F,C)"), parse_goal("r(A,A,C,C,E,E,E,C)"))
+@settings(max_examples=300, deadline=None)
+def test_goal_similarity_witness_replays(q1, q2):
+    """The value is what the witness gives back: the conjunction nodes of
+    the paired atoms plus their strict commonality, the left atoms renamed
+    onto the right goal's variables."""
+    for limits in (Limits(), Limits(exact_vars=1, exact_group=1)):
+        align = goal_similarity(q1, q2, limits)
+        replayed = sum(strict_commonality(la, ra) for la, ra in align.renamed_pairs(q1, q2))
+        assert align.value == max(len(align.atom_pairing) - 1, 0) + replayed, limits
+
+
+def test_goal_similarity_walks_each_side_for_variables_once(monkeypatch):
+    calls = []
+    walk = metrics.var_names
+
+    def counted(entity):
+        calls.append(entity)
+        return walk(entity)
+
+    monkeypatch.setattr(metrics, "var_names", counted)
+    g1 = parse_goal("p(a,f(A)), s(A), q(A,B)")
+    g2 = parse_goal("q(Y,Z), p(f(Y),a)")
+    # exact, then greedy in both directions on equal variable counts
+    for limits in (Limits(), Limits(exact_vars=1)):
+        calls.clear()
+        assert goal_similarity(g1, g2, limits).value == 5
+        assert len(calls) <= 2
 
 
 def _weight_tables(seed, count, max_n):
@@ -349,7 +379,7 @@ def _reference_directed_commonality(q1, q2, limits):
     if n == 0:
         return GoalAlignment(value=0)
     base = n - 1
-    table = _alignment_table(q1, q2)
+    table = _alignment_table(q1, q2, _similar_groups(q1, q2))
     v1 = sorted(var_names(q1))
     v2 = sorted(var_names(q2))
     exact = (len(v1) <= limits.exact_vars
@@ -401,20 +431,24 @@ def _reference_directed_commonality(q1, q2, limits):
                          best["value"])
 
 
+def _turned_around(a):
+    """A witness of q2 against q1 as one of q1 against q2."""
+    return GoalAlignment(tuple(sorted((y, x) for x, y in a.renaming)),
+                         tuple(sorted((i, j) for j, i in a.atom_pairing)),
+                         a.value, a.approximate)
+
+
 def _reference_commonality(q1, q2, limits):
     """``commonality`` as it was before: both directions on equal counts."""
     k1, k2 = len(var_names(q1)), len(var_names(q2))
     if k1 < k2:
         return _reference_directed_commonality(q1, q2, limits)
     if k1 > k2:
-        a = _reference_directed_commonality(q2, q1, limits)
-        return GoalAlignment(a.renaming, tuple(sorted((i, j) for j, i in a.atom_pairing)),
-                             a.value, swapped=True, approximate=a.approximate)
+        return _turned_around(_reference_directed_commonality(q2, q1, limits))
     fwd = _reference_directed_commonality(q1, q2, limits)
     rev = _reference_directed_commonality(q2, q1, limits)
     if rev.value > fwd.value:
-        return GoalAlignment(rev.renaming, tuple(sorted((i, j) for j, i in rev.atom_pairing)),
-                             rev.value, swapped=True, approximate=rev.approximate)
+        return _turned_around(rev)
     return fwd
 
 
@@ -454,9 +488,8 @@ def test_commonality_witness_equals_reference(vars_limit, group_limit):
     approximate = 0
     limits = Limits(exact_vars=vars_limit, exact_group=group_limit)
     for g1, g2 in _similar_goal_pairs(vars_limit * 100 + group_limit, 2000):
-        value, align = commonality(g1, g2, limits)
-        expected = _reference_commonality(g1, g2, limits)
-        assert align == expected and value == expected.value, (g1, g2)
+        align = commonality(g1, g2, limits)
+        assert align == _reference_commonality(g1, g2, limits), (g1, g2)
         approximate += align.approximate
     # both the exact search and the greedy fallback are covered
     assert (approximate == 0) == (vars_limit == 8)
@@ -474,9 +507,10 @@ def test_commonality_searches_one_direction_on_equal_exact_counts(monkeypatch):
     monkeypatch.setattr(metrics, "_directed_commonality", counted)
     g1 = parse_goal("p(a,f(A)), q(A,B)")
     g2 = parse_goal("q(Y,Z), p(f(Y),a)")
-    value, align = commonality(g1, g2)
+    align = commonality(g1, g2)
     assert len(calls) == 1
-    assert (value, align.swapped, align.approximate) == (5, False, False)
+    assert (align.value, dict(align.renaming), align.approximate) == (
+        5, {"A": "Y", "B": "Z"}, False)
     # beyond the exact limits both greedy directions still run
     calls.clear()
     commonality(g1, g2, Limits(exact_vars=1))
@@ -492,8 +526,10 @@ def test_directed_values_agree_on_equal_variable_counts(shape, data):
     g1 = _goal_for(shape, args1)
     g2 = _goal_for(data.draw(st.permutations(shape)), args2)
     assume(len(var_names(g1)) == len(var_names(g2)))
-    fwd = metrics._directed_commonality(g1, g2, Limits())
-    rev = metrics._directed_commonality(g2, g1, Limits())
+    groups = _similar_groups(g1, g2)
+    v1, v2 = sorted(var_names(g1)), sorted(var_names(g2))
+    fwd = metrics._directed_commonality(g1, g2, groups, v1, v2, Limits())
+    rev = metrics._directed_commonality(g2, g1, [(r, l) for l, r in groups], v2, v1, Limits())
     assert not (fwd.approximate or rev.approximate)
     assert fwd.value == rev.value == brute_force_commonality(g1, g2)
 
@@ -506,7 +542,7 @@ def test_weight_rows_track_best_pairing_under_bind_and_unbind(shape, data):
     args2 = data.draw(st.lists(_terms(), min_size=n_args, max_size=n_args))
     g1 = _goal_for(shape, args1)
     g2 = _goal_for(data.draw(st.permutations(shape)), args2)
-    table = _alignment_table(g1, g2)
+    table = _alignment_table(g1, g2, _similar_groups(g1, g2))
     rows = _WeightRows(table)
     v1, v2 = var_names(g1), var_names(g2) or ["Y"]
     bound: list = []

@@ -66,9 +66,9 @@ def test_commonality_matches_brute_force_on_random_pairs():
         shape = [rng.choice(_preds) for _ in range(rng.randint(1, 4))]
         g1 = _random_goal(rng, list(shape))
         g2 = _random_goal(rng, list(shape))
-        value, align = commonality(g1, g2)
+        align = commonality(g1, g2)
         assert not align.approximate
-        assert value == brute_force_commonality(g1, g2)
+        assert align.value == brute_force_commonality(g1, g2)
 
 
 def test_mutation_is_deterministic(append_scc):

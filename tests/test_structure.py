@@ -162,6 +162,30 @@ def test_common_core_of_normalized_pair_matches_map_skeleton():
     ]
 
 
+DOUBLE = """
+double([],[]).
+double([X|Xs],[Y|Ys]) :- Y is X * 2, double(Xs,Ys).
+"""
+
+
+# The segment search runs from the side with fewer variables, here the
+# right one; a left variable it leaves out must not be equated with a
+# right variable of the same name (C in the first pair, Y in the second).
+@pytest.mark.parametrize("source, left, right, expected", [
+    ("p(X) :- r(B,B,D,D,C,F,F,C).\nq(X) :- r(A,A,C,C,E,E,E,C).\n", ("p", 1), ("q", 1),
+     ["core_p_q(B) :- r(A,A,C,C,G1,E,E,G2)."]),
+    (ADD1_AND_SQR + DOUBLE, ("add1_and_sqr", 2), ("double", 2),
+     ["core_add1_and_sqr_double(A,B) :- A = [], B = [].",
+      "core_add1_and_sqr_double(A,B) :- A = [X|Xs], B = [G1|Ys], Y is G2, "
+      "core_add1_and_sqr_double(Xs,Ys)."]),
+])
+def test_common_core_keeps_unrenamed_left_variables_apart(source, left, right, expected):
+    sccs = build_sccs(normalize_program(parse_program(source)))
+    s1, s2 = scc_of(sccs, PredSymbol(*left)), scc_of(sccs, PredSymbol(*right))
+    core = common_core(s1, s2, closeness(s1, s2))
+    assert [render_clause(c) for c in core] == expected
+
+
 def test_common_core_of_duplicates_is_a_copy(append_scc, concat_scc):
     result = closeness(append_scc, concat_scc)
     core = common_core(append_scc, concat_scc, result)
@@ -291,8 +315,8 @@ def _reference_segment_score(lseg: ClauseSegments, rseg: ClauseSegments, limits:
     alignments = []
     approximate = False
     for lq, rq in zip(lseg.segments, rseg.segments):
-        value, align = goal_similarity(lq, rq, limits)
-        score += value
+        align = goal_similarity(lq, rq, limits)
+        score += align.value
         alignments.append(align)
         approximate = approximate or align.approximate
     return score, tuple(alignments), approximate

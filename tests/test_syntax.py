@@ -99,6 +99,20 @@ def test_syntax_error_carries_location():
         assert str(err.value) == f"ml.pl:{line}:{column}: {message}"
 
 
+def test_long_body_parses():
+    program = parse_program("p(X) :- " + ", ".join(["q(X)"] * 5000) + ".")
+    (clause,) = program.all_clauses()
+    assert len(clause.body.atoms) == 5000
+
+
+def test_operator_chains_nest_from_the_right():
+    a, b, c, d, e = (Struct(n) for n in "abcde")
+    assert parse_term("a ; b ; c") == Struct(";", (a, Struct(";", (b, c))))
+    assert parse_term("(a , b) , c") == Struct(",", (Struct(",", (a, b)), c))
+    assert parse_term("a :- b , c ; d -> e") == Struct(":-", (a, Struct(";", (
+        Struct(",", (b, c)), Struct("->", (d, e))))))
+
+
 def test_quoted_punctuation_is_an_atom():
     clause = parse_clause("p([']'], ')', '.').")
     assert clause.head.args == (Struct(".", (Struct("]"), Struct("[]"))), Struct(")"), Struct("."))
