@@ -214,17 +214,10 @@ def fp_closeness(a: SCCPrint, b: SCCPrint) -> Optional[tuple]:
     return (_ratio(g.total, a.total), _ratio(g.total, b.total))
 
 
-def symbol_bound(a: SCCPrint, b: SCCPrint) -> tuple:
-    """Upper bound of each component of ``fp_closeness(a, b)`` from
-    symbol counts alone.  The glbs that estimate keeps are disjoint
-    sub-multisets of each side's symbols, so they retain at most the
-    per-symbol minimum of the two sides' sums."""
-    m = _shared_symbols(a, b)
-    return (_ratio(m, a.total), _ratio(m, b.total))
-
-
 def _shared_symbols(a: SCCPrint, b: SCCPrint) -> int:
-    """The per-symbol minimum of the two prints' symbol sums, summed."""
+    """The per-symbol minimum of the two prints' symbol sums, summed: an
+    upper bound of what ``fp_closeness(a, b)`` retains, since the glbs it
+    keeps are disjoint sub-multisets of each side's symbols."""
     theirs = b.symbols
     return sum(min(n, theirs[sym]) for sym, n in a.symbols.items() if sym in theirs)
 
@@ -254,9 +247,10 @@ def candidate_pairs(program: Program, threshold=Fraction(1, 2)) -> tuple:
 
     Builds SCCs, buckets them by shape signature and emits pairs whose
     estimate's smaller component reaches the threshold, best first.  A
-    pair whose ``symbol_bound`` is already below the threshold is
-    skipped without computing the estimate; the bound is compared in
-    integers, ``kept / total < num / den`` as ``kept * den < num * total``.
+    pair whose ``_shared_symbols`` over either side's total is already
+    below the threshold is skipped without computing the estimate; the
+    bound is compared in integers, ``kept / total < num / den`` as
+    ``kept * den < num * total``.
     """
     threshold = Fraction(threshold)
     num, den = threshold.numerator, threshold.denominator

@@ -170,9 +170,7 @@ def anti_unify(a, b, prefix: str, pairs: dict):
     (left, right) pair to its variable and may be shared between calls
     that must reuse variables.
     """
-    if isinstance(a, Var) and isinstance(b, Var) and a.name == b.name:
-        return a
-    if isinstance(a, Num) and isinstance(b, Num) and a.value == b.value:
+    if isinstance(a, (Var, Num)) and a == b:
         return a
     if (isinstance(a, Struct) and isinstance(b, Struct)
             and a.functor == b.functor and len(a.args) == len(b.args)):
@@ -246,35 +244,6 @@ class GoalAlignment:
                 for i, j in self.atom_pairing]
 
 
-def _alignment_table(q1: Goal, q2: Goal, groups: list) -> list:
-    """Each (indices in q1, indices in q2) group of ``_similar_groups`` as
-    (left, right, cells): cell [a][b] holds the coinciding node count and
-    the aligned variable pairs of the a-th left and b-th right atoms."""
-    return [(left, right, [[align(q1.atoms[i], q2.atoms[j])[:2] for j in right] for i in left])
-            for left, right in groups]
-
-
-def _best_pairing(table: list, rho: dict):
-    """Optimal same-predicate atom pairing under a (partial) renaming rho
-    of q1's variables: a variable pair (x, y) counts when rho sends x to y
-    or leaves x unbound, which scores unbound variables optimistically
-    (an admissible upper bound)."""
-    total = 0
-    pairing = []
-    for left, right, cells in table:
-        weights = [[matched + sum(rho.get(x, y) == y for x, y in pairs)
-                    for matched, pairs in row] for row in cells]
-        if len(left) == 1:
-            total += weights[0][0]
-            pairing.append((left[0], right[0]))
-            continue
-        for r, c in max_weight_matching(weights):
-            total += weights[r][c]
-            pairing.append((left[r], right[c]))
-    pairing.sort()
-    return total, tuple(pairing)
-
-
 def _group_optimum(weights) -> int:
     """Weight of a maximal same-predicate pairing of one group."""
     if len(weights) == 1:
@@ -286,27 +255,34 @@ def _group_optimum(weights) -> int:
 
 
 class _WeightRows:
-    """The weight tables ``_best_pairing`` builds, kept up to date while a
-    partial renaming grows and shrinks one binding at a time.
+    """The state of a directed commonality search: a partial renaming
+    ``rho`` of q1's variables onto the images in ``used`` and, per group
+    of ``_similar_groups``, the weights of pairing its a-th left atom with
+    its b-th right one: their coinciding nodes plus the aligned variable
+    pairs (x, y) that rho sends x to y or leaves x unbound.
 
-    A cell starts at its coinciding nodes plus all its variable pairs, as
-    if every variable were unbound.  ``bind(x, y)`` takes off, in the cells
-    whose pairs mention x only, the pairs (x, y') with y' != y, and solves
-    again only the groups that changed; ``unbind`` undoes the latest
-    binding from its undo record.  ``total`` always equals
-    ``_best_pairing(table, rho)[0]`` for the bindings in force.
+    Scoring unbound variables optimistically makes ``total``, the weight
+    of an optimal pairing, an admissible bound of every completion of rho;
+    before any ``bind`` it is the root bound.  ``bind(x, y)`` takes off the
+    pairs (x, y') with y' != y and solves again only the groups that
+    changed; ``unbind`` undoes the latest binding from its undo record.
     """
 
-    def __init__(self, table: list):
+    def __init__(self, q1: Goal, q2: Goal, groups: list):
+        self.groups = groups
         self.weights = []
+        self.rho: dict = {}
+        self.used: set = set()
         # x -> [(group, [(weight row, column, pairs of x, {y: pairs (x, y)})])]
         self._cells: dict = {}
-        for g, (_, _, cells) in enumerate(table):
+        for g, (left, right) in enumerate(groups):
             weights = []
             by_var: dict = {}
-            for row in cells:
-                weight_row = [matched + len(pairs) for matched, pairs in row]
-                for b, (_, pairs) in enumerate(row):
+            for i in left:
+                weight_row = []
+                for b, j in enumerate(right):
+                    matched, pairs, _ = align(q1.atoms[i], q2.atoms[j])
+                    weight_row.append(matched + len(pairs))
                     counts: dict = {}
                     for x, y in pairs:
                         images = counts.setdefault(x, {})
@@ -337,15 +313,30 @@ class _WeightRows:
                 optimum = _group_optimum(self.weights[g])
                 self.total += optimum - self.optimum[g]
                 self.optimum[g] = optimum
-        self._undo.append((changed, solved))
+        self.rho[x] = y
+        self.used.add(y)
+        self._undo.append((x, y, changed, solved))
 
     def unbind(self) -> None:
-        changed, solved = self._undo.pop()
+        x, y, changed, solved = self._undo.pop()
+        del self.rho[x]
+        self.used.discard(y)
         for row, b, drop in changed:
             row[b] += drop
         for g, optimum in solved:
             self.total += optimum - self.optimum[g]
             self.optimum[g] = optimum
+
+    def pairing(self) -> tuple:
+        """An optimal pairing under the bindings in force, as sorted
+        (index in q1, index in q2) pairs."""
+        pairing = []
+        for (left, right), weights in zip(self.groups, self.weights):
+            if len(left) == 1:
+                pairing.append((left[0], right[0]))
+            else:
+                pairing.extend((left[r], right[c]) for r, c in max_weight_matching(weights))
+        return tuple(sorted(pairing))
 
 
 def _directed_commonality(q1: Goal, q2: Goal, groups: list, v1: list, v2: list,
@@ -360,56 +351,43 @@ def _directed_commonality(q1: Goal, q2: Goal, groups: list, v1: list, v2: list,
     them each variable greedily takes the image with the best bound.
     """
     base = sum(len(left) for left, _ in groups) - 1
-    table = _alignment_table(q1, q2, groups)
-    rows = _WeightRows(table)
-    rho: dict = {}
-    used: set = set()
+    rows = _WeightRows(q1, q2, groups)
 
     if not (len(v1) <= limits.exact_vars
             and max(len(left) for left, _ in groups) <= limits.exact_group):
         for x in v1:
             best_y, best_s = None, -1
             for y in v2:
-                if y in used:
-                    continue
-                rows.bind(x, y)
-                if rows.total > best_s:
-                    best_s, best_y = rows.total, y
-                rows.unbind()
+                if y not in rows.used:
+                    rows.bind(x, y)
+                    if rows.total > best_s:
+                        best_s, best_y = rows.total, y
+                    rows.unbind()
             rows.bind(x, best_y)
-            rho[x] = best_y
-            used.add(best_y)
-        value, pairing = _best_pairing(table, rho)
-        return GoalAlignment(tuple(sorted(rho.items())), pairing,
-                             base + value, approximate=True)
+        return GoalAlignment(tuple(sorted(rows.rho.items())), rows.pairing(),
+                             base + rows.total, approximate=True)
 
-    best_value, best_rho = _search(v1, v2, rows, base, rho, used, (-1, None))
-    _, pairing = _best_pairing(table, best_rho)
-    return GoalAlignment(tuple(sorted(best_rho.items())), pairing, best_value)
+    value, renaming, pairing = _search(v1, v2, rows, base, (-1, None, None))
+    return GoalAlignment(renaming, pairing, value)
 
 
-def _search(v1: list, v2: list, rows: _WeightRows, base: int,
-            rho: dict, used: set, best: tuple) -> tuple:
-    """The branch-and-bound of ``_directed_commonality`` below a partial
-    renaming rho of v1's first ``len(rho)`` variables onto the images in
-    ``used``: the first best completion as (value, renaming) if it beats
-    ``best``, else ``best``.  The state is passed in, not closed over: a
-    recursive closure holds itself through its cell, so each search would
-    leave a reference cycle for the cyclic collector."""
-    if len(rho) == len(v1):
-        return base + rows.total, dict(rho)
-    x = v1[len(rho)]
+def _search(v1: list, v2: list, rows: _WeightRows, base: int, best: tuple) -> tuple:
+    """The branch-and-bound of ``_directed_commonality`` below the
+    renaming ``rows.rho`` of v1's first variables: the first best
+    completion as (value, renaming, pairing) if it beats ``best``, else
+    ``best``; a completion is reached only when its bound beats ``best``.
+    The state is passed in, not closed over: a recursive closure holds
+    itself through its cell, so each search would leave a reference cycle
+    for the cyclic collector."""
+    if len(rows.rho) == len(v1):
+        return base + rows.total, tuple(sorted(rows.rho.items())), rows.pairing()
+    x = v1[len(rows.rho)]
     for y in v2:
-        if y in used:
-            continue
-        rows.bind(x, y)
-        if base + rows.total > best[0]:
-            rho[x] = y
-            used.add(y)
-            best = _search(v1, v2, rows, base, rho, used, best)
-            del rho[x]
-            used.discard(y)
-        rows.unbind()
+        if y not in rows.used:
+            rows.bind(x, y)
+            if base + rows.total > best[0]:
+                best = _search(v1, v2, rows, base, best)
+            rows.unbind()
     return best
 
 

@@ -131,7 +131,7 @@ def find_structure_witnesses(s1: SCC, s2: SCC, limits: Limits = Limits()):
     empty sequence means the SCCs do not share a recursive structure.
     The combinations examined are those ``closeness`` examines under the
     same limits."""
-    for pred_map, perms, approximate, groups, rhos in itertools.islice(
+    for pred_map, perms, groups, rhos in itertools.islice(
             _witness_combos(s1, s2, limits.arity), limits.witness_cap):
         if rhos is None:
             continue
@@ -139,8 +139,7 @@ def find_structure_witnesses(s1: SCC, s2: SCC, limits: Limits = Limits()):
                    for left, right in groups for i in left]
         for mapping in itertools.product(*options):
             if len({j for _, j, _ in mapping}) == len(mapping):
-                yield _witness(s1, pred_map, perms, sorted(mapping, key=lambda m: m[0]),
-                               approximate)
+                yield _witness(s1, pred_map, perms, sorted(mapping, key=lambda m: m[0]))
 
 
 # ---------------------------------------------------------------------------

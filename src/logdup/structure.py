@@ -51,7 +51,6 @@ class StructureWitness:
     clause_mapping: ClauseMapping
     arg_permutations: tuple  # tuple[(PredSymbol, ArgPermutation), ...]
     renamings: tuple  # per clause pair: sorted tuple[(from, to), ...]
-    approximate: bool = False
 
     @property
     def perm_dict(self) -> dict:
@@ -139,24 +138,21 @@ def _pred_bijections(s1: SCC, s2: SCC):
 
 def _perm_combos(members, arity: int):
     """All per-predicate argument permutation combinations; a predicate above
-    both ``arity`` and arity 1 gets only the identity, and the combo is approximate."""
-    limit = max(arity, 1)
+    both ``arity`` and arity 1 gets only the identity."""
     spaces = [[ArgPermutation(p) for p in itertools.permutations(range(1, q.arity + 1))]
-              if q.arity <= limit else [ArgPermutation.identity(q.arity)] for q in members]
-    approximate = any(q.arity > limit for q in members)
+              if q.arity <= max(arity, 1) else [ArgPermutation.identity(q.arity)]
+              for q in members]
     for combo in itertools.product(*spaces):
-        yield dict(zip(members, combo)), approximate
+        yield dict(zip(members, combo))
 
 
 def _witness_combos(s1: SCC, s2: SCC, arity: int):
     """Every (predicate bijection, argument permutations) combination of
-    two SCCs, in deterministic order, as ``(pred_map, perms, approximate,
-    groups, rhos)``.  ``groups`` holds, per member of s1, its clause
+    two SCCs, in deterministic order, as ``(pred_map, perms, groups,
+    rhos)``.  ``groups`` holds, per member of s1, its clause
     indices and those of its image in s2; ``rhos`` maps each compatible
     clause pair (i, j) to its variable renaming, and is None when some
-    clause of s1 has no compatible partner (the combination is dead).
-    ``approximate`` is set when argument permutations were skipped above
-    ``arity``."""
+    clause of s1 has no compatible partner (the combination is dead)."""
     lefts = [[i for i, c in enumerate(s1.clauses) if c.head.pred == q] for q in s1.members]
     tables: dict = {}  # (i, j) -> _arg_table of that clause pair
     for pred_map in _pred_bijections(s1, s2):
@@ -168,15 +164,15 @@ def _witness_combos(s1: SCC, s2: SCC, arity: int):
                     tables[i, j] = _arg_table(s1.segmented[i], s2.segmented[j])
         options = [(i, [(j, tables[i, j]) for j in right if tables[i, j] is not None])
                    for left, right in groups for i in left]
-        for perms, approximate in _perm_combos(s1.members, arity):
-            yield pred_map, perms, approximate, groups, _combo_rhos(options, pred_map, perms)
+        for perms in _perm_combos(s1.members, arity):
+            yield pred_map, perms, groups, _combo_rhos(options, pred_map, perms)
 
 
 def _by_name(item):
     return (item[0].name, item[0].arity)
 
 
-def _witness(s1: SCC, pred_map: dict, perms: dict, mapping, approximate: bool):
+def _witness(s1: SCC, pred_map: dict, perms: dict, mapping):
     """The witness of a clause mapping given as (i, j, rho) triples sorted
     by i."""
     return StructureWitness(
@@ -184,7 +180,6 @@ def _witness(s1: SCC, pred_map: dict, perms: dict, mapping, approximate: bool):
                       tuple(sorted(((q, pred_map[q]) for q in s1.members), key=_by_name))),
         tuple(sorted(perms.items(), key=_by_name)),
         tuple(tuple(sorted(rho.items())) for _, _, rho in mapping),
-        approximate,
     )
 
 
@@ -263,14 +258,18 @@ def closeness(s1: SCC, s2: SCC, limits: Limits = Limits()) -> Optional[Similarit
     Instead of enumerating clause bijections one by one, each (predicate
     bijection, argument permutation) combination is scored with a
     max-weight assignment over compatible clause pairs, which maximizes
-    sigma exactly in polynomial time per combination."""
+    sigma exactly in polynomial time per combination.  The result is
+    approximate when argument permutations were skipped above
+    ``limits.arity``, the witness cap cut the enumeration or the best
+    combination's segment alignments are greedy."""
     best = None
-    truncated = False
+    # every combination skips the same permutations
+    approximate = any(q.arity > max(limits.arity, 1) for q in s1.members)
     scores: dict = {}  # (i, j) -> _clause_pair_score of that clause pair
-    for count, (pred_map, perms, approx, groups, rhos) in enumerate(
+    for count, (pred_map, perms, groups, rhos) in enumerate(
             _witness_combos(s1, s2, limits.arity)):
         if count == limits.witness_cap:
-            truncated = True
+            approximate = True
             break
         if rhos is None:
             continue
@@ -286,26 +285,23 @@ def closeness(s1: SCC, s2: SCC, limits: Limits = Limits()) -> Optional[Similarit
                 break
             for a, b in matching:
                 i, j = left[a], right[b]
-                score, aligns, pair_approx = scores[i, j]
-                total += score
-                approx = approx or pair_approx
-                mapping.append((i, j, rhos[i, j], aligns))
+                total += scores[i, j][0]
+                mapping.append((i, j, rhos[i, j]))
         else:
             if best is None or total > best[0]:
-                best = (total, pred_map, perms, sorted(mapping, key=lambda m: m[0]), approx)
+                best = (total, pred_map, perms, sorted(mapping, key=lambda m: m[0]))
 
     if best is None:
         return None
-    total, pred_map, perms, mapping, approx = best
-    witness = _witness(s1, pred_map, perms, [(i, j, rho) for i, j, rho, _ in mapping],
-                       approx or truncated)
+    total, pred_map, perms, mapping = best
+    approximate = approximate or any(scores[i, j][2] for i, j, _ in mapping)
     n1 = self_similarity(s1)
     n2 = self_similarity(s2)
     gamma = (Fraction(total, n1) if n1 else Fraction(0),
              Fraction(total, n2) if n2 else Fraction(0))
-    return SimilarityResult(total, gamma, (n1, n2), witness,
-                            tuple(aligns for _, _, _, aligns in mapping),
-                            approximate=approx or truncated)
+    return SimilarityResult(total, gamma, (n1, n2), _witness(s1, pred_map, perms, mapping),
+                            tuple(scores[i, j][1] for i, j, _ in mapping),
+                            approximate=approximate)
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,18 @@ class Var:
 
 @dataclass(frozen=True)
 class Num:
-    """Numeric constant.  Counts as a leaf node but carries no symbol."""
+    """Numeric constant.  Counts as a leaf node but carries no symbol.
+    An integer and a float are different constants, as ``1 = 1.0`` fails
+    in Prolog, so equality and hashing tell them apart."""
 
     value: Union[int, float]
+
+    def __eq__(self, other):
+        return (isinstance(other, Num) and type(self.value) is type(other.value)
+                and self.value == other.value)
+
+    def __hash__(self):
+        return hash((type(self.value), self.value))
 
     def __repr__(self):
         return str(self.value)
@@ -534,8 +543,15 @@ def render_term(term, maxprec: int = 1200) -> str:
             prec, optype = _INFIX_OPS[term.functor]
             lmax = prec if optype == "yfx" else prec - 1
             rmax = prec if optype == "xfy" else prec - 1
-            op = f" {term.functor} " if term.functor in _SPACED_OPS else term.functor
-            text = f"{render_term(term.args[0], lmax)}{op}{render_term(term.args[1], rmax)}"
+            right = render_term(term.args[1], rmax)
+            if term.functor in _SPACED_OPS:
+                op = f" {term.functor} "
+            elif right.startswith("-") and term.functor not in (",", ";"):
+                # standard Prolog reads ``--``, ``+-`` or ``*-`` as one symbol token
+                op = f"{term.functor} "
+            else:
+                op = term.functor
+            text = f"{render_term(term.args[0], lmax)}{op}{right}"
             return f"({text})" if prec > maxprec else text
         if not term.args:
             return _render_name(term.functor)
@@ -596,7 +612,7 @@ def align(a, b) -> tuple:
         x, y = stack.pop()
         if isinstance(x, Var) and isinstance(y, Var):
             pairs.append((x.name, y.name))
-        elif isinstance(x, Num) and isinstance(y, Num) and x.value == y.value:
+        elif isinstance(x, Num) and x == y:
             matched += 1
         elif (isinstance(x, Struct) and isinstance(y, Struct)
               and x.functor == y.functor and len(x.args) == len(y.args)):

@@ -180,6 +180,26 @@ def test_skipped_predicate_warning_surfaces(tmp_path, capsys):
     assert "warning:" in out and "p/1" in out
 
 
+@pytest.mark.parametrize("source", ["p(X) :- X = 1.0.\nq(Y) :- Y = 1.\n", "p(1.0).\nq(1).\n"],
+                         ids=["rules", "facts"])
+def test_integer_and_float_constants_differ(tmp_path, capsys, source):
+    # 1 = 1.0 fails in Prolog, so p and q are not duplicates
+    path = write(tmp_path, "num.pl", source)
+    assert main([path, "--emit-common-core"]) == 0
+    assert capsys.readouterr().out == (
+        "similar: [p/1] ~ [q/1]\n"
+        "  closeness: (0.833, 0.833)  sigma: 5 / 6 and 6\n"
+        "  common core:\n"
+        "    core_p_q(A) :- A = G1.\n")
+
+
+def test_common_core_spaces_a_negative_operand(tmp_path, capsys):
+    clause = "(X) :- X = -1, Y is X - -1, Y > 0.\n"
+    path = write(tmp_path, "neg.pl", "p" + clause + "q" + clause)
+    assert main([path, "--emit-common-core"]) == 0
+    assert "    core_p_q(A) :- A = -1, Y is A- -1, Y > 0.\n" in capsys.readouterr().out
+
+
 def test_deep_list_fact_is_analyzed(tmp_path, capsys):
     path = write(tmp_path, "deep.pl", "big([" + ",".join(map(str, range(2000))) + "]).\n")
     assert main([path]) == 0

@@ -7,10 +7,10 @@ from logdup import (
     ClausePrint, GoalPrint, PredicatePrint, PredSymbol, SCCPrint, candidate_pairs,
     check_glb_conjecture, clauseprint, fp_closeness, goalprint, mutate_duplicate,
     normalize_program, parse_goal, parse_program, predicate_print, print_glb,
-    scc_print,
+    scc_print, scc_print_glb,
 )
 from logdup.depgraph import build_sccs, scc_of
-from logdup.fingerprint import _shape_signature, symbol_bound
+from logdup.fingerprint import _shape_signature, _shared_symbols
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL, scc_named
 from tests.test_acceptance import FIXTURE, _scale_corpus
 
@@ -198,10 +198,9 @@ def _scc_print_of_shape(data, shape):
 def test_symbol_bound_is_at_least_the_estimate(shape, data):
     a = _scc_print_of_shape(data, shape)
     b = _scc_print_of_shape(data, shape)
-    estimate = fp_closeness(a, b)
-    if estimate is not None:
-        bound = symbol_bound(a, b)
-        assert bound[0] >= estimate[0] and bound[1] >= estimate[1]
+    glb = scc_print_glb(a, b)
+    if glb is not None:
+        assert _shared_symbols(a, b) >= glb.total
 
 
 def _ungated_candidate_pairs(program, thresholds):

@@ -11,9 +11,7 @@ from logdup import (
     predicate_multiset, shared_var_count, strict_commonality, total_nodes, var_occurrences,
 )
 from logdup import metrics
-from logdup.metrics import (
-    _alignment_table, _best_pairing, _similar_groups, _WeightRows, max_weight_matching,
-)
+from logdup.metrics import _similar_groups, _WeightRows, max_weight_matching
 from logdup.syntax import align, var_names
 
 Q1 = "p(f(X),g(Y,h(Z,a))), q(Z,X)"
@@ -371,6 +369,35 @@ def test_max_weight_matching_breaks_ties_as_scipy_does():
 # Commonality search: one direction, incremental weight rows
 # ---------------------------------------------------------------------------
 
+def _alignment_table(q1: Goal, q2: Goal, groups: list) -> list:
+    """Each (indices in q1, indices in q2) group of ``_similar_groups`` as
+    (left, right, cells): cell [a][b] holds the coinciding node count and
+    the aligned variable pairs of the a-th left and b-th right atoms."""
+    return [(left, right, [[align(q1.atoms[i], q2.atoms[j])[:2] for j in right] for i in left])
+            for left, right in groups]
+
+
+def _best_pairing(table: list, rho: dict):
+    """Optimal same-predicate atom pairing under a (partial) renaming rho
+    of q1's variables: a variable pair (x, y) counts when rho sends x to y
+    or leaves x unbound, which scores unbound variables optimistically
+    (an admissible upper bound)."""
+    total = 0
+    pairing = []
+    for left, right, cells in table:
+        weights = [[matched + sum(rho.get(x, y) == y for x, y in pairs)
+                    for matched, pairs in row] for row in cells]
+        if len(left) == 1:
+            total += weights[0][0]
+            pairing.append((left[0], right[0]))
+            continue
+        for r, c in max_weight_matching(weights):
+            total += weights[r][c]
+            pairing.append((left[r], right[c]))
+    pairing.sort()
+    return total, tuple(pairing)
+
+
 def _reference_directed_commonality(q1, q2, limits):
     """The branch-and-bound as it was before the incremental weight rows:
     a full ``_best_pairing`` at every node.  Kept as the reference the
@@ -542,12 +569,21 @@ def test_weight_rows_track_best_pairing_under_bind_and_unbind(shape, data):
     args2 = data.draw(st.lists(_terms(), min_size=n_args, max_size=n_args))
     g1 = _goal_for(shape, args1)
     g2 = _goal_for(data.draw(st.permutations(shape)), args2)
-    table = _alignment_table(g1, g2, _similar_groups(g1, g2))
-    rows = _WeightRows(table)
+    groups = _similar_groups(g1, g2)
+    table = _alignment_table(g1, g2, groups)
+    root_bound = _best_pairing(table, {})[0]
+    rows = _WeightRows(g1, g2, groups)
     v1, v2 = var_names(g1), var_names(g2) or ["Y"]
     bound: list = []
     rho: dict = {}
-    assert rows.total == _best_pairing(table, rho)[0]
+
+    def assert_rows_match_reference():
+        assert (rows.total, rows.pairing()) == _best_pairing(table, rho)
+        assert rows.rho == rho
+        if not rho:
+            assert rows.total == root_bound
+
+    assert_rows_match_reference()
     for _ in range(data.draw(st.integers(0, 12))):
         free = [x for x in v1 if x not in rho]
         if free and (not bound or data.draw(st.booleans())):
@@ -558,4 +594,4 @@ def test_weight_rows_track_best_pairing_under_bind_and_unbind(shape, data):
         elif bound:
             rows.unbind()
             del rho[bound.pop()]
-        assert rows.total == _best_pairing(table, rho)[0]
+        assert_rows_match_reference()

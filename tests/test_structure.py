@@ -394,8 +394,10 @@ def _assert_witnesses_make_calls_identical(s1, s2):
             sigma += segments + calls
             alignments.append(aligns)
         assert scc_similarity(s1, s2, w) == sigma
+        # every fixture has arity at most Limits().arity, so no witness skips
+        # an argument permutation and none is approximate
         result = SimilarityResult(sigma, (Fraction(0), Fraction(0)), (0, 0), w,
-                                  tuple(alignments), approximate=w.approximate)
+                                  tuple(alignments))
         assert common_core(s1, s2, result) == _reference_common_core(s1, s2, result)
     return count
 
@@ -587,14 +589,18 @@ def _assert_combos_match_reference(s1, s2, arity_limit):
     reference = list(_reference_witness_combos(s1, s2, arity_limit))
     assert len(combos) == len(reference)
     dead = 0
-    for (*head, rhos), (*ref_head, ref_rhos) in zip(combos, reference):
-        assert head == ref_head
-        groups = ref_head[3]
+    for (*head, rhos), (pred_map, perms, _, groups, ref_rhos) in zip(combos, reference):
+        assert head == [pred_map, perms, groups]
         if all(any((i, j) in ref_rhos for j in right) for left, right in groups for i in left):
             assert rhos == ref_rhos
         else:
             assert rhos is None
             dead += 1
+    # every segment of the fixtures is searched exactly, so closeness is
+    # approximate only where the reference skips argument permutations
+    result = closeness(s1, s2, Limits(arity=arity_limit))
+    assert result is None or [result.approximate] * len(reference) == [
+        approximate for _, _, approximate, _, _ in reference]
     return len(combos), dead
 
 
@@ -653,7 +659,7 @@ def test_witness_cap_counts_dead_combinations(cap_offset):
     limits = Limits(witness_cap=len(combos) + cap_offset)
     result = closeness(s1, s2, limits)
     truncated = cap_offset < 0
-    assert result.approximate == result.witness.approximate == truncated
+    assert result.approximate == truncated
     assert result.sigma == (10 if truncated else 17)
     # the oracle examines the same combinations under the same limits
     assert result.sigma == max(scc_similarity(s1, s2, w)

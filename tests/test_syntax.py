@@ -56,6 +56,23 @@ def test_negative_numbers():
     assert parse_term("-3") == Num(-3)
 
 
+def test_integer_and_float_are_different_constants():
+    # 1 = 1.0 fails in Prolog
+    assert Num(1) != Num(1.0) and Num(1.0) == Num(1.0)
+    assert len({Num(1), Num(1.0), Num(1)}) == 2
+    assert align(Num(1), Num(1.0)) == (0, [], False)
+    assert align(Num(1.0), Num(1.0)) == (1, [], True)
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+@pytest.mark.parametrize("operand, text", [(Num(-1), "-1"), (Struct("-", (Var("X"),)), "-(X)")])
+def test_operand_starting_with_minus_is_spaced_from_its_operator(op, operand, text):
+    # standard Prolog reads A--1 with the one symbol token --
+    term = Struct(op, (Var("A"), operand))
+    assert render_term(term) == f"A{op} {text}"
+    assert parse_term(render_term(term)) == term
+
+
 def test_directive_skipped_with_warning():
     program = parse_program(":- module(m, []).\np(a).")
     assert any("directive" in w for w in program.warnings)
