@@ -55,82 +55,60 @@ class ClauseSegments:
         return tuple(atoms)
 
 
-def _pred_sort_key(pred: PredSymbol):
-    return (pred.name, pred.arity)
-
-
 def build_sccs(program: Program) -> tuple:
     """Tarjan over the defined, non-excluded predicates.
 
     Edge q -> r exists iff some clause of q calls r and r is defined.
     Builtins are graph leaves.  Output is in the order Tarjan emits
     components (reverse topological), which is deterministic because
-    nodes and successors are visited in name order.
+    nodes and successors are visited in name order.  The depth-first walk
+    keeps one (node, iterator over its successors) entry per open node,
+    so deep call chains cannot overflow the stack.
     """
-    defined = sorted((p for p in program.predicates if p not in program.excluded),
-                     key=_pred_sort_key)
+    defined = sorted(p for p in program.predicates if p not in program.excluded)
     defined_set = set(defined)
-    succs: dict = {p: [] for p in defined}
-    for pred in defined:
-        targets = set()
-        for clause in program.predicates[pred]:
-            for atom in clause.body.atoms:
-                if atom.pred in defined_set and not is_builtin(atom.pred):
-                    targets.add(atom.pred)
-        succs[pred] = sorted(targets, key=_pred_sort_key)
+    succs = {pred: sorted({atom.pred for clause in program.predicates[pred]
+                           for atom in clause.body.atoms
+                           if atom.pred in defined_set and not is_builtin(atom.pred)})
+             for pred in defined}
 
     index: dict = {}
     lowlink: dict = {}
     on_stack: set = set()
     stack: list = []
-    counter = [0]
-    components: list = []
-
-    def strongconnect(root):
-        # iterative DFS so deep call chains cannot overflow the stack
-        work = [(root, 0)]
+    sccs: list = []
+    for root in defined:
+        if root in index:
+            continue
+        work = [(root, iter(succs[root]))]
         while work:
-            node, succ_idx = work.pop()
-            if succ_idx == 0:
-                index[node] = lowlink[node] = counter[0]
-                counter[0] += 1
+            node, pending = work[-1]
+            if node not in index:
+                index[node] = lowlink[node] = len(index)
                 stack.append(node)
                 on_stack.add(node)
-            recursed = False
-            for i in range(succ_idx, len(succs[node])):
-                w = succs[node][i]
+            for w in pending:
                 if w not in index:
-                    work.append((node, i + 1))
-                    work.append((w, 0))
-                    recursed = True
+                    work.append((w, iter(succs[w])))
                     break
                 if w in on_stack:
                     lowlink[node] = min(lowlink[node], index[w])
-            if recursed:
-                continue
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(tuple(sorted(comp, key=_pred_sort_key)))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-
-    for pred in defined:
-        if pred not in index:
-            strongconnect(pred)
-
-    sccs = []
-    for members in components:
-        clauses = []
-        for pred in members:
-            clauses.extend(program.predicates[pred])
-        sccs.append(SCC(members, tuple(clauses)))
+            else:
+                work.pop()
+                if lowlink[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == node:
+                            break
+                    members = tuple(sorted(comp))
+                    sccs.append(SCC(members, tuple(c for pred in members
+                                                   for c in program.predicates[pred])))
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
     return tuple(sccs)
 
 

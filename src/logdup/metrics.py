@@ -168,17 +168,28 @@ def anti_unify(a, b, prefix: str, pairs: dict):
     Each distinct mismatched pair of subterms becomes one generalization
     variable named ``prefix`` plus an ordinal; ``pairs`` maps every such
     (left, right) pair to its variable and may be shared between calls
-    that must reuse variables.
+    that must reuse variables.  Rebuilt bottom-up without recursion, so
+    terms of any depth are generalized.
     """
-    if isinstance(a, (Var, Num)) and a == b:
-        return a
-    if (isinstance(a, Struct) and isinstance(b, Struct)
-            and a.functor == b.functor and len(a.args) == len(b.args)):
-        return Struct(a.functor, tuple(anti_unify(x, y, prefix, pairs)
-                                       for x, y in zip(a.args, b.args)))
-    if (a, b) not in pairs:
-        pairs[a, b] = Var(f"{prefix}{len(pairs) + 1}")
-    return pairs[a, b]
+    done: list = []  # generalized parts, in order
+    work: list = [(a, b, None)]  # (left, right, its part count once they are queued)
+    while work:
+        x, y, n = work.pop()
+        if n is not None:
+            parts = tuple(done[len(done) - n:])
+            del done[len(done) - n:]
+            done.append(Struct(x.functor, parts))
+        elif isinstance(x, (Var, Num)) and x == y:
+            done.append(x)
+        elif (isinstance(x, Struct) and isinstance(y, Struct)
+              and x.functor == y.functor and len(x.args) == len(y.args)):
+            work.append((x, y, len(x.args)))
+            work.extend((u, v, None) for u, v in zip(reversed(x.args), reversed(y.args)))
+        else:
+            if (x, y) not in pairs:
+                pairs[x, y] = Var(f"{prefix}{len(pairs) + 1}")
+            done.append(pairs[x, y])
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +210,7 @@ def _similar_groups(q1: Goal, q2: Goal) -> list:
         for i, atom in enumerate(goal.atoms):
             groups.setdefault(atom.pred, ([], []))[side].append(i)
     shared = []
-    for pred in sorted(groups, key=lambda p: (p.name, p.arity)):
+    for pred in sorted(groups):
         left, right = groups[pred]
         n = min(len(left), len(right))
         if n:

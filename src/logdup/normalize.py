@@ -10,6 +10,7 @@ nested, so their operator symbols stay inside one goalprint.
 from __future__ import annotations
 
 import string
+from itertools import chain, count
 
 from .syntax import (
     ARITH_BUILTINS, EQ, Atom, Clause, Goal, Num, Program, Struct,
@@ -17,37 +18,20 @@ from .syntax import (
 )
 
 
-def _name_stream(candidates, used):
+def _fresh_names(candidates, used):
+    """The candidates not in ``used``, each added to it when taken."""
     for name in candidates:
         if name not in used:
             used.add(name)
             yield name
 
 
-def _param_names(used):
-    def candidates():
-        yield from string.ascii_uppercase
-        i = 1
-        while True:
-            yield f"P{i}"
-            i += 1
-    return _name_stream(candidates(), used)
-
-
-def _temp_names(used):
-    def candidates():
-        i = 1
-        while True:
-            yield f"V{i}"
-            i += 1
-    return _name_stream(candidates(), used)
-
-
 class _Normalizer:
     def __init__(self, clause: Clause):
         used = set(var_names(clause))
-        self.params = _param_names(used)
-        self.temps = _temp_names(used)
+        self.params = _fresh_names(
+            chain(string.ascii_uppercase, (f"P{i}" for i in count(1))), used)
+        self.temps = _fresh_names((f"V{i}" for i in count(1)), used)
         self.binder: dict = {}  # original var name -> normalized Var
         self.body: list = []
 
@@ -96,45 +80,47 @@ def _eliminate_var_unifications(body: list, head_params: set) -> list:
 
     ``X = Y`` atoms survive only when both sides are head parameters
     (matching the normal-form append listing) or when eliminating them
-    would duplicate a variable inside another unification.
+    would duplicate a variable inside another unification.  An ``X = X``
+    atom is dropped.
+
+    One walk over the body makes the choices of rescanning it after each
+    elimination.  A kept ``X = Y`` of two head parameters stays so, since
+    a head parameter is always the side kept.  A kept ``X = Y`` that
+    another ``=`` atom holds both variables of is itself such an atom for
+    any later ``X = Y`` on those two, so they never merge.  A rescan would
+    thus only re-check atoms it kept before, and eliminations happen in
+    body order.  The substitution (dropped name -> kept name) is applied
+    to the surviving atoms once, at the end.
     """
-    atoms = list(body)
-    changed = True
-    while changed:
-        changed = False
-        for idx, atom in enumerate(atoms):
-            if atom.pred != EQ:
-                continue
-            lhs, rhs = atom.args
-            if not (isinstance(lhs, Var) and isinstance(rhs, Var)):
-                continue
-            if lhs.name == rhs.name:
-                del atoms[idx]
-                changed = True
-                break
-            if lhs.name in head_params and rhs.name in head_params:
-                continue
-            if rhs.name in head_params:
-                keep, drop = rhs, lhs
-            else:
-                keep, drop = lhs, rhs
-            if _would_duplicate(atoms, idx, keep.name, drop.name):
-                continue
-            del atoms[idx]
-            atoms = [rename_vars(a, {drop.name: keep}) for a in atoms]
-            changed = True
-            break
-    return atoms
+    subst: dict = {}
 
+    def current(name):
+        while name in subst:
+            name = subst[name]
+        return name
 
-def _would_duplicate(atoms: list, skip: int, keep: str, drop: str) -> bool:
-    for i, atom in enumerate(atoms):
-        if i == skip or atom.pred != EQ:
+    kept = []
+    for idx, atom in enumerate(body):
+        lhs, rhs = atom.args if atom.pred == EQ else (None, None)
+        if not (isinstance(lhs, Var) and isinstance(rhs, Var)):
+            kept.append(atom)
             continue
-        names = [v for v in var_names(atom)]
-        if keep in names and drop in names:
-            return True
-    return False
+        lhs, rhs = current(lhs.name), current(rhs.name)
+        if lhs == rhs:
+            continue
+        if lhs in head_params and rhs in head_params:
+            kept.append(atom)
+            continue
+        keep, drop = (rhs, lhs) if rhs in head_params else (lhs, rhs)
+        if any(other.pred == EQ and {keep, drop} <= {current(n) for n in var_names(other)}
+               for other in chain(kept, body[idx + 1:])):
+            kept.append(atom)
+            continue
+        subst[drop] = keep
+    if not subst:
+        return kept
+    mapping = {name: Var(current(name)) for name in subst}
+    return [rename_vars(atom, mapping) for atom in kept]
 
 
 def normalize_clause(clause: Clause) -> Clause:
@@ -205,16 +191,11 @@ def is_normal_atom(atom: Atom) -> bool:
         lhs, rhs = atom.args
         if not isinstance(lhs, Var):
             return False
-        if isinstance(rhs, Var):
+        if isinstance(rhs, (Var, Num)):
             return True
-        if isinstance(rhs, Num):
-            return True
-        if isinstance(rhs, Struct):
-            names = [a.name for a in rhs.args if isinstance(a, Var)]
-            all_vars = all(isinstance(a, Var) for a in rhs.args)
-            distinct = len(set(names + [lhs.name])) == len(names) + 1
-            return all_vars and distinct
-        return False
+        # a binding's arguments are variables, distinct from each other and lhs
+        names = [lhs.name] + [a.name for a in rhs.args if isinstance(a, Var)]
+        return len(names) == len(rhs.args) + 1 == len(set(names))
     if (atom.pred.name, atom.pred.arity) in ARITH_BUILTINS:
         return True
     return all(isinstance(a, Var) for a in atom.args)

@@ -214,7 +214,7 @@ def mutate_duplicate(scc: SCC, seed: int) -> tuple:
         rng.shuffle(new_clauses[q])
         log.append(f"shuffle clause order of {q}")
 
-    members = sorted(pred_map.values(), key=lambda p: (p.name, p.arity))
+    members = sorted(pred_map.values())
     inverse = {v: k for k, v in pred_map.items()}
     clauses = []
     for member in members:

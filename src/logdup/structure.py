@@ -168,17 +168,13 @@ def _witness_combos(s1: SCC, s2: SCC, arity: int):
             yield pred_map, perms, groups, _combo_rhos(options, pred_map, perms)
 
 
-def _by_name(item):
-    return (item[0].name, item[0].arity)
-
-
 def _witness(s1: SCC, pred_map: dict, perms: dict, mapping):
     """The witness of a clause mapping given as (i, j, rho) triples sorted
     by i."""
     return StructureWitness(
         ClauseMapping(tuple((i, j) for i, j, _ in mapping),
-                      tuple(sorted(((q, pred_map[q]) for q in s1.members), key=_by_name))),
-        tuple(sorted(perms.items(), key=_by_name)),
+                      tuple(sorted((q, pred_map[q]) for q in s1.members))),
+        tuple(sorted(perms.items())),
         tuple(tuple(sorted(rho.items())) for _, _, rho in mapping),
     )
 

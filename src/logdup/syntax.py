@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Iterator, Union
 
 
@@ -75,8 +76,10 @@ class Struct:
 Term = Union[Var, Num, Struct]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class PredSymbol:
+    """A predicate name and arity; predicates sort by name, then arity."""
+
     name: str
     arity: int
 
@@ -441,8 +444,7 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
     are skipped with a warning.  Empty input yields an empty program.
     """
     parser = _Parser(text, filename)
-    predicates: dict = {}
-    order: list = []
+    predicates: dict = {}  # PredSymbol -> [Clause, ...], in order of first clause
     warnings: list = []
     tainted: dict = {}  # PredSymbol -> reason
     # the line of each clause's first token, counted on from the last one
@@ -484,26 +486,18 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
                     offender = _NON_DEFINITE[conjunct.functor]
                     break
                 body_atoms.append(_term_to_atom(conjunct))
-        pred = head.pred
-        if pred not in predicates:
-            predicates[pred] = []
-            order.append(pred)
+        clauses = predicates.setdefault(head.pred, [])
         if offender is not None:
-            tainted.setdefault(pred, (offender, origin))
+            tainted.setdefault(head.pred, (offender, origin))
             continue
-        predicates[pred].append(Clause(head, Goal(tuple(body_atoms)), origin))
+        clauses.append(Clause(head, Goal(tuple(body_atoms)), origin))
 
-    excluded = frozenset(tainted)
     for pred, (offender, origin) in tainted.items():
         warnings.append(
             f"{origin[0]}:{origin[1]}: predicate {pred} excluded from analysis "
             f"(non-definite construct {offender})")
-    result = {}
-    for pred in order:
-        if pred in excluded:
-            continue
-        result[pred] = tuple(predicates[pred])
-    return Program(result, tuple(warnings), excluded)
+    result = {pred: tuple(clauses) for pred, clauses in predicates.items() if pred not in tainted}
+    return Program(result, tuple(warnings), frozenset(tainted))
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +525,22 @@ def _close_list(term) -> str:
     return f"[{inner}|{render_term(term, 999)}]"
 
 
+def _render_num(value) -> str:
+    """A float is written positionally from its shortest ``repr``: no
+    Prolog reader takes the exponent form ``1e+20``."""
+    text = repr(value)
+    if isinstance(value, float) and "e" in text:
+        text = format(Decimal(text), "f")
+        if "." not in text:
+            text += ".0"
+    return text
+
+
 def render_term(term, maxprec: int = 1200) -> str:
     if isinstance(term, Var):
         return term.name
     if isinstance(term, Num):
-        return str(term.value)
+        return _render_num(term.value)
     if isinstance(term, Struct):
         if term.functor == "." and len(term.args) == 2:
             return _close_list(term)
@@ -543,15 +548,25 @@ def render_term(term, maxprec: int = 1200) -> str:
             prec, optype = _INFIX_OPS[term.functor]
             lmax = prec if optype == "yfx" else prec - 1
             rmax = prec if optype == "xfy" else prec - 1
-            right = render_term(term.args[1], rmax)
-            if term.functor in _SPACED_OPS:
-                op = f" {term.functor} "
-            elif right.startswith("-") and term.functor not in (",", ";"):
-                # standard Prolog reads ``--``, ``+-`` or ``*-`` as one symbol token
-                op = f"{term.functor} "
-            else:
-                op = term.functor
-            text = f"{render_term(term.args[0], lmax)}{op}{right}"
+            # A left-nested chain of one yfx priority, as the parser builds
+            # ``X+1+...+1``, is rendered along its left spine in a loop.
+            tails = []
+            left = term
+            while True:
+                right = render_term(left.args[1], rmax)
+                if left.functor in _SPACED_OPS:
+                    op = f" {left.functor} "
+                elif right.startswith("-") and left.functor not in (",", ";"):
+                    # standard Prolog reads ``--``, ``+-`` or ``*-`` as one symbol token
+                    op = f"{left.functor} "
+                else:
+                    op = left.functor
+                tails.append(op + right)
+                left = left.args[0]
+                if not (optype == "yfx" and isinstance(left, Struct) and len(left.args) == 2
+                        and _INFIX_OPS.get(left.functor) == (prec, optype)):
+                    break
+            text = render_term(left, lmax) + "".join(reversed(tails))
             return f"({text})" if prec > maxprec else text
         if not term.args:
             return _render_name(term.functor)

@@ -200,6 +200,24 @@ def test_common_core_spaces_a_negative_operand(tmp_path, capsys):
     assert "    core_p_q(A) :- A = -1, Y is A- -1, Y > 0.\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("options, x, y", [([], "A", "B"), (["--no-normalize"], "X", "Y")],
+                         ids=["normalized", "raw"])
+def test_common_core_of_deep_arithmetic(tmp_path, options, x, y):
+    chain = "+1" * 3000
+    path = write(tmp_path, "deep.pl", f"p(X,Y) :- Y is X{chain}.\nq(X,Y) :- Y is X{chain}.\n")
+    result = run_cli([path, "--emit-common-core", *options])
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "duplicate: [p/2] ~ [q/2]" in result.stdout
+    assert f"  common core:\n    core_p_q({x},{y}) :- {y} is {x}{chain}.\n" in result.stdout
+
+
+def test_common_core_float_parses_back(tmp_path, capsys):
+    clause = "(X) :- X = 100000000000000000000.0.\n"
+    path = write(tmp_path, "float.pl", "p" + clause + "q" + clause)
+    assert main([path, "--emit-common-core"]) == 0
+    assert "    core_p_q(A) :- A = 100000000000000000000.0.\n" in capsys.readouterr().out
+
+
 def test_deep_list_fact_is_analyzed(tmp_path, capsys):
     path = write(tmp_path, "deep.pl", "big([" + ",".join(map(str, range(2000))) + "]).\n")
     assert main([path]) == 0

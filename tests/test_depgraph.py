@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from logdup import PredSymbol, build_sccs, parse_program, scc_of, segment_clause
+from logdup import (
+    SCC, Atom, Clause, Goal, Num, PredSymbol, Program, Var, build_sccs,
+    parse_program, scc_of, segment_clause,
+)
+from logdup.syntax import EQ, is_builtin
 
 
 def test_single_recursive_predicate_is_own_scc():
@@ -87,3 +92,125 @@ def test_scc_of_missing_predicate():
     sccs = build_sccs(parse_program("p(a)."))
     with pytest.raises(KeyError):
         scc_of(sccs, PredSymbol("nope", 1))
+
+
+def test_deep_call_chain_is_walked_without_recursion():
+    source = "".join(f"p{i}(X) :- p{i + 1}(X).\n" for i in range(5_000)) + "p5000(a).\n"
+    sccs = build_sccs(parse_program(source))
+    assert [scc.members[0].name for scc in sccs[:2]] == ["p5000", "p4999"]
+    assert len(sccs) == 5_001
+
+
+# The Tarjan walk with a nested closure that the flat one replaced, kept
+# as the reference it must equal.
+
+def _pred_sort_key(pred: PredSymbol):
+    return (pred.name, pred.arity)
+
+
+def _reference_build_sccs(program: Program) -> tuple:
+    """Tarjan over the defined, non-excluded predicates.
+
+    Edge q -> r exists iff some clause of q calls r and r is defined.
+    Builtins are graph leaves.  Output is in the order Tarjan emits
+    components (reverse topological), which is deterministic because
+    nodes and successors are visited in name order.
+    """
+    defined = sorted((p for p in program.predicates if p not in program.excluded),
+                     key=_pred_sort_key)
+    defined_set = set(defined)
+    succs: dict = {p: [] for p in defined}
+    for pred in defined:
+        targets = set()
+        for clause in program.predicates[pred]:
+            for atom in clause.body.atoms:
+                if atom.pred in defined_set and not is_builtin(atom.pred):
+                    targets.add(atom.pred)
+        succs[pred] = sorted(targets, key=_pred_sort_key)
+
+    index: dict = {}
+    lowlink: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    counter = [0]
+    components: list = []
+
+    def strongconnect(root):
+        # iterative DFS so deep call chains cannot overflow the stack
+        work = [(root, 0)]
+        while work:
+            node, succ_idx = work.pop()
+            if succ_idx == 0:
+                index[node] = lowlink[node] = counter[0]
+                counter[0] += 1
+                stack.append(node)
+                on_stack.add(node)
+            recursed = False
+            for i in range(succ_idx, len(succs[node])):
+                w = succs[node][i]
+                if w not in index:
+                    work.append((node, i + 1))
+                    work.append((w, 0))
+                    recursed = True
+                    break
+                if w in on_stack:
+                    lowlink[node] = min(lowlink[node], index[w])
+            if recursed:
+                continue
+            if lowlink[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                components.append(tuple(sorted(comp, key=_pred_sort_key)))
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+
+    for pred in defined:
+        if pred not in index:
+            strongconnect(pred)
+
+    sccs = []
+    for members in components:
+        clauses = []
+        for pred in members:
+            clauses.extend(program.predicates[pred])
+        sccs.append(SCC(members, tuple(clauses)))
+    return tuple(sccs)
+
+
+# names and arities chosen so that name order and arity order disagree
+_preds = st.sampled_from([PredSymbol(name, arity) for name in ("p", "q", "qq", "r", "s")
+                          for arity in (1, 2, 10)])
+
+
+def _call(pred):
+    return Atom(pred, tuple(Var(f"X{i}") for i in range(pred.arity)))
+
+
+_builtin_calls = st.sampled_from([Atom(EQ, (Var("X"), Var("Y"))),
+                                  Atom(PredSymbol("is", 2), (Var("X"), Num(1)))])
+
+
+@st.composite
+def _programs(draw):
+    """Clauses calling defined, undefined and builtin predicates, among
+    them self-loops and mutual recursion; excluded predicates may keep
+    their clauses, as the graph must leave them out either way."""
+    predicates: dict = {}
+    for head, body in draw(st.lists(st.tuples(
+            _preds, st.lists(st.one_of(_preds.map(_call), _builtin_calls), max_size=4)),
+            max_size=14)):
+        predicates.setdefault(head, []).append(Clause(_call(head), Goal(tuple(body))))
+    return Program({pred: tuple(clauses) for pred, clauses in predicates.items()},
+                   (), frozenset(draw(st.sets(_preds, max_size=3))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_programs())
+def test_flat_tarjan_equals_the_closure_walk(program):
+    assert build_sccs(program) == _reference_build_sccs(program)

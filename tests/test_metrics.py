@@ -7,8 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from logdup import (
     Atom, Clause, Goal, GoalAlignment, Limits, Num, PredSymbol, Struct, Var,
     brute_force_commonality, commonality, enumerate_renamings, goal_similarity,
-    maximal_similar_subgoals, msg, nodes, parse_clause, parse_goal,
-    predicate_multiset, shared_var_count, strict_commonality, total_nodes, var_occurrences,
+    maximal_similar_subgoals, msg, nodes, parse_clause, parse_goal, parse_term,
+    predicate_multiset, render_term, shared_var_count, strict_commonality, total_nodes,
+    var_occurrences,
 )
 from logdup import metrics
 from logdup.metrics import _similar_groups, _WeightRows, max_weight_matching
@@ -86,6 +87,14 @@ def test_msg_reuses_variable_for_repeated_pairs():
 def test_msg_rejects_goals_whose_predicates_differ():
     with pytest.raises(ValueError):
         msg(parse_goal("p(a), q(b)"), parse_goal("p(a), r(b)"))
+
+
+def test_anti_unify_walks_deep_terms():
+    left, right = (parse_term(v + "+1" * 3000) for v in ("X", "Y"))
+    pairs: dict = {}
+    # compared as text: term equality on a 3,000-deep term recurses
+    assert render_term(metrics.anti_unify(left, right, "G", pairs)) == "G1" + "+1" * 3000
+    assert pairs == {(Var("X"), Var("Y")): Var("G1")}
 
 
 def test_shared_var_count_worked_example():

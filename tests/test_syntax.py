@@ -73,6 +73,29 @@ def test_operand_starting_with_minus_is_spaced_from_its_operator(op, operand, te
     assert parse_term(render_term(term)) == term
 
 
+def test_deep_left_nested_chain_renders_back_to_its_source():
+    # compared as text: term equality on a 3,000-deep term recurses
+    source = "Y is X" + "".join(("+1", "-2", "+Z")[i % 3] for i in range(3_000))
+    assert render_term(parse_term(source)) == source
+
+
+@pytest.mark.parametrize("value", [1e20, 1e-7, -2.5e-10, 0.1, 123.0, -0.0, 1e300, 5e-324])
+def test_float_renders_positionally_and_parses_back(value):
+    text = render_term(Num(value))
+    assert "e" not in text
+    assert parse_term(text) == Num(value)
+
+
+def test_float_without_exponent_renders_as_before():
+    assert [render_term(Num(v)) for v in (0.1, 123.0, -0.0, 2.5)] == ["0.1", "123.0", "-0.0", "2.5"]
+
+
+def test_pred_symbols_sort_by_name_then_arity():
+    preds = [PredSymbol("b", 0), PredSymbol("a", 10), PredSymbol("ab", 1), PredSymbol("a", 2)]
+    assert sorted(preds) == [PredSymbol("a", 2), PredSymbol("a", 10),
+                             PredSymbol("ab", 1), PredSymbol("b", 0)]
+
+
 def test_directive_skipped_with_warning():
     program = parse_program(":- module(m, []).\np(a).")
     assert any("directive" in w for w in program.warnings)
