@@ -3,10 +3,13 @@ segmentation into non-recursive subgoals and recursive calls."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .syntax import Atom, Clause, Goal, PredSymbol, Program, is_builtin
+from .syntax import (
+    Atom, Clause, Goal, Num, PredSymbol, Program, Struct, Var, is_builtin, node_counts,
+)
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,30 @@ class ClauseSegments:
     segments: tuple  # tuple[Goal, ...], length k+1
     recursive_calls: tuple  # tuple[Atom, ...], length k
 
+    # Derived values are cached on the instance, as on SCC.
+
+    @cached_property
+    def matched_nodes(self) -> int:
+        """What a witness matches of the clause outside its segments: the
+        neck, and the head and recursive calls in full."""
+        return 1 + sum(sum(node_counts(a)) for a in (self.head,) + self.recursive_calls)
+
+    @cached_property
+    def segment_nodes(self) -> int:
+        """The node total of the segments, variable occurrences included."""
+        return sum(sum(node_counts(q)) for q in self.segments)
+
+    @cached_property
+    def repeated_preds(self) -> tuple:
+        """Per segment, the set of predicates it calls more than once."""
+        return tuple(frozenset(p for p, n in Counter(a.pred for a in q.atoms).items() if n > 1)
+                     for q in self.segments)
+
+    @cached_property
+    def shapes(self) -> tuple:
+        """``goal_shape`` of each segment."""
+        return tuple(map(goal_shape, self.segments))
+
     def reconstruct(self) -> tuple:
         atoms = []
         for i, seg in enumerate(self.segments):
@@ -53,6 +80,32 @@ class ClauseSegments:
             if i < len(self.recursive_calls):
                 atoms.append(self.recursive_calls[i])
         return tuple(atoms)
+
+
+def goal_shape(goal: Goal) -> tuple:
+    """``(shape, constants)`` of a goal, from one pre-order walk.  The
+    shape holds each variable's name, each atom's predicate, each
+    compound's arity and None for each numeral; ``constants`` holds each
+    compound's (functor, arity) and each numeral's (type, value), in the
+    same order.  Goals of one shape differ in their constants at most."""
+    shape = []
+    constants = []
+    stack = list(reversed(goal.atoms))
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Var):
+            shape.append(e.name)
+        elif isinstance(e, Num):
+            shape.append(None)
+            constants.append((type(e.value), e.value))
+        elif isinstance(e, Struct):
+            shape.append(len(e.args))
+            constants.append((e.functor, len(e.args)))
+            stack.extend(reversed(e.args))
+        else:
+            shape.append(e.pred)
+            stack.extend(reversed(e.args))
+    return tuple(shape), tuple(constants)
 
 
 def build_sccs(program: Program) -> tuple:

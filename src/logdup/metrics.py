@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .depgraph import SCC
-from .syntax import Atom, Clause, Goal, Num, Struct, Var, align, rename_vars, var_names
+from .syntax import Goal, Num, Struct, Var, align, node_counts, rename_vars, var_names
 
 
 @dataclass(frozen=True)
@@ -32,32 +32,12 @@ class Limits:
 # ---------------------------------------------------------------------------
 
 def _node_counts(entity) -> tuple:
-    """(functor and numeral nodes, variable occurrences) of a term, atom,
-    goal, clause or SCC, in one walk.  An atom is one node above its
-    arguments, a goal of n atoms adds n - 1 conjunction nodes and a clause
-    one neck node, as if goals and clauses were terms (Definition 1)."""
-    count = variables = 0
-    stack = [entity]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Var):
-            variables += 1
-        elif isinstance(e, Num):
-            count += 1
-        elif isinstance(e, (Struct, Atom)):
-            count += 1
-            stack.extend(e.args)
-        elif isinstance(e, Goal):
-            count += max(len(e.atoms) - 1, 0)
-            stack.extend(e.atoms)
-        elif isinstance(e, Clause):
-            count += 1
-            stack.extend((e.head, e.body))
-        elif isinstance(e, SCC):
-            stack.extend(e.clauses)
-        elif e is not None:
-            raise TypeError(f"cannot count the nodes of {e!r}")
-    return count, variables
+    """``syntax.node_counts``, extended to an SCC as the sum over its
+    clauses."""
+    if not isinstance(entity, SCC):
+        return node_counts(entity)
+    counts = [node_counts(c) for c in entity.clauses]
+    return sum(n for n, _ in counts), sum(v for _, v in counts)
 
 
 def nodes(entity) -> int:
@@ -359,7 +339,9 @@ def _directed_commonality(q1: Goal, q2: Goal, groups: list, v1: list, v2: list,
     Variables are bound in sorted order, each to the images in sorted
     order, so the first optimum found is the witness.  Within the exact
     limits a branch-and-bound prunes on ``_WeightRows.total``; beyond
-    them each variable greedily takes the image with the best bound.
+    them each variable greedily takes the first image with the best
+    bound.  A binding never raises the bound, so an image that keeps it
+    is the best and the greedy tries no further one.
     """
     base = sum(len(left) for left, _ in groups) - 1
     rows = _WeightRows(q1, q2, groups)
@@ -368,12 +350,15 @@ def _directed_commonality(q1: Goal, q2: Goal, groups: list, v1: list, v2: list,
             and max(len(left) for left, _ in groups) <= limits.exact_group):
         for x in v1:
             best_y, best_s = None, -1
+            before = rows.total
             for y in v2:
                 if y not in rows.used:
                     rows.bind(x, y)
                     if rows.total > best_s:
                         best_s, best_y = rows.total, y
                     rows.unbind()
+                    if best_s == before:
+                        break
             rows.bind(x, best_y)
         return GoalAlignment(tuple(sorted(rows.rho.items())), rows.pairing(),
                              base + rows.total, approximate=True)
@@ -387,11 +372,14 @@ def _search(v1: list, v2: list, rows: _WeightRows, base: int, best: tuple) -> tu
     renaming ``rows.rho`` of v1's first variables: the first best
     completion as (value, renaming, pairing) if it beats ``best``, else
     ``best``; a completion is reached only when its bound beats ``best``.
+    A binding never raises the bound, so once ``best`` reaches the bound
+    on entry no further image of the next variable can beat it.
     The state is passed in, not closed over: a recursive closure holds
     itself through its cell, so each search would leave a reference cycle
     for the cyclic collector."""
     if len(rows.rho) == len(v1):
         return base + rows.total, tuple(sorted(rows.rho.items())), rows.pairing()
+    bound = base + rows.total
     x = v1[len(rows.rho)]
     for y in v2:
         if y not in rows.used:
@@ -399,6 +387,8 @@ def _search(v1: list, v2: list, rows: _WeightRows, base: int, best: tuple) -> tu
             if base + rows.total > best[0]:
                 best = _search(v1, v2, rows, base, best)
             rows.unbind()
+            if best[0] >= bound:
+                break
     return best
 
 

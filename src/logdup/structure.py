@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .depgraph import SCC, ClauseSegments
-from .metrics import Limits, anti_unify, goal_similarity, max_weight_matching, total_nodes
+from .metrics import Limits, anti_unify, goal_similarity, max_weight_matching
 from .syntax import Atom, Clause, Goal, PredSymbol, align
 
 
@@ -209,21 +209,39 @@ def validate_witness(s1: SCC, s2: SCC, w: StructureWitness) -> bool:
 # the witness: the whole contribution depends on the two clauses alone,
 # and closeness computes it once per clause pair.
 
-def _matched_nodes(seg: ClauseSegments) -> int:
-    """What a witness matches of a clause outside its segments: the neck,
-    and the head and recursive calls in full."""
-    return 1 + sum(total_nodes(a) for a in (seg.head,) + seg.recursive_calls)
+def _pair_key(lshape: tuple, rshape: tuple) -> tuple:
+    """The memo key of a segment pair from the ``goal_shape`` of each
+    side: both shapes and the constants of both sides numbered jointly by
+    first occurrence.  Two pairs with one key differ by a bijective
+    renaming of constants, which keeps every equality between them."""
+    constants = lshape[1] + rshape[1]
+    ids = dict(zip(dict.fromkeys(constants), itertools.count()))
+    return lshape[0], rshape[0], tuple(map(ids.__getitem__, constants))
 
 
-def _clause_pair_score(lseg: ClauseSegments, rseg: ClauseSegments, limits: Limits = Limits()):
+def _clause_pair_score(lseg: ClauseSegments, rseg: ClauseSegments, limits: Limits,
+                       memo: dict):
     """The Definition-9 contribution of a clause pair mapped by some
     witness, with the segment alignments that realize it and whether any
-    of them is approximate."""
-    score = _matched_nodes(rseg)
+    of them is approximate.
+
+    ``memo`` maps the ``_pair_key`` of a segment pair to its alignment.
+    ``goal_similarity`` sees constants only through equality, predicates
+    through equality and order, variables by name and atoms by index, all
+    of which the key keeps, so pairs with one key have one alignment.
+    Only pairs that search an atom pairing, where a predicate occurs more
+    than once on both sides, are worth a key."""
+    score = rseg.matched_nodes
     alignments = []
     approximate = False
-    for lq, rq in zip(lseg.segments, rseg.segments):
-        align = goal_similarity(lq, rq, limits)
+    for k, (lq, rq) in enumerate(zip(lseg.segments, rseg.segments)):
+        if not lseg.repeated_preds[k].isdisjoint(rseg.repeated_preds[k]):
+            key = _pair_key(lseg.shapes[k], rseg.shapes[k])
+            align = memo.get(key)
+            if align is None:
+                align = memo[key] = goal_similarity(lq, rq, limits)
+        else:
+            align = goal_similarity(lq, rq, limits)
         score += align.value
         alignments.append(align)
         approximate = approximate or align.approximate
@@ -234,7 +252,8 @@ def scc_similarity(s1: SCC, s2: SCC, w: StructureWitness, limits: Limits = Limit
     """Similarity sigma([p],[p'],phi) for a given witness."""
     if not validate_witness(s1, s2, w):
         raise ValueError("invalid structure witness")
-    return sum(_clause_pair_score(s1.segmented[i], s2.segmented[j], limits)[0]
+    memo: dict = {}
+    return sum(_clause_pair_score(s1.segmented[i], s2.segmented[j], limits, memo)[0]
                for i, j in w.clause_mapping.pairs)
 
 
@@ -243,8 +262,7 @@ def self_similarity(s: SCC) -> int:
     witness, which matches every node of every clause.  A segment's
     commonality with any goal is at most its node total, so no witness
     matches more, and closeness is (1,1) for duplicates by construction."""
-    return sum(_matched_nodes(seg) + sum(total_nodes(q) for q in seg.segments)
-               for seg in s.segmented)
+    return sum(seg.matched_nodes + seg.segment_nodes for seg in s.segmented)
 
 
 def closeness(s1: SCC, s2: SCC, limits: Limits = Limits()) -> Optional[SimilarityResult]:
@@ -262,6 +280,7 @@ def closeness(s1: SCC, s2: SCC, limits: Limits = Limits()) -> Optional[Similarit
     # every combination skips the same permutations
     approximate = any(q.arity > max(limits.arity, 1) for q in s1.members)
     scores: dict = {}  # (i, j) -> _clause_pair_score of that clause pair
+    memo: dict = {}  # _pair_key -> alignment of a segment pair
     for count, (pred_map, perms, groups, rhos) in enumerate(
             _witness_combos(s1, s2, limits.arity)):
         if count == limits.witness_cap:
@@ -271,7 +290,8 @@ def closeness(s1: SCC, s2: SCC, limits: Limits = Limits()) -> Optional[Similarit
             continue
         for i, j in rhos:
             if (i, j) not in scores:
-                scores[i, j] = _clause_pair_score(s1.segmented[i], s2.segmented[j], limits)
+                scores[i, j] = _clause_pair_score(s1.segmented[i], s2.segmented[j], limits,
+                                                   memo)
         total = 0
         mapping = []
         for left, right in groups:

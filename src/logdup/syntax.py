@@ -608,6 +608,33 @@ def var_names(entity) -> list:
     return list(seen)
 
 
+def node_counts(entity) -> tuple:
+    """(functor and numeral nodes, variable occurrences) of a term, atom,
+    goal or clause, in one walk.  An atom is one node above its
+    arguments, a goal of n atoms adds n - 1 conjunction nodes and a clause
+    one neck node, as if goals and clauses were terms (Definition 1)."""
+    count = variables = 0
+    stack = [entity]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Var):
+            variables += 1
+        elif isinstance(e, Num):
+            count += 1
+        elif isinstance(e, (Struct, Atom)):
+            count += 1
+            stack.extend(e.args)
+        elif isinstance(e, Goal):
+            count += max(len(e.atoms) - 1, 0)
+            stack.extend(e.atoms)
+        elif isinstance(e, Clause):
+            count += 1
+            stack.extend((e.head, e.body))
+        elif e is not None:
+            raise TypeError(f"cannot count the nodes of {e!r}")
+    return count, variables
+
+
 def align(a, b) -> tuple:
     """Walk two terms, atoms or equally long goals position by position,
     descending only below coinciding functors and predicates.

@@ -211,6 +211,20 @@ def test_common_core_of_deep_arithmetic(tmp_path, options, x, y):
     assert f"  common core:\n    core_p_q({x},{y}) :- {y} is {x}{chain}.\n" in result.stdout
 
 
+@pytest.mark.parametrize("options", [[], ["--no-normalize"]], ids=["normalized", "raw"])
+def test_memoized_segment_pairs_with_deep_arithmetic(tmp_path, options):
+    # two `is` atoms per segment, so closeness keys each segment pair by
+    # its shape, walking the 3,000-deep expression
+    chain = "+1" * 3000
+    source = "".join(f"{p}(X,Y) :- Y is X{chain}, Z is X+2, Z > 0.\n"
+                     f"{p}(X,Y) :- Y is X+3, Z is X+4, Z > 1.\n" for p in "pq")
+    path = write(tmp_path, "deep.pl", source)
+    result = run_cli([path, "--emit-common-core", *options])
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "duplicate: [p/2] ~ [q/2]" in result.stdout
+    assert "sigma: 6036 / 6036 and 6036" in result.stdout
+
+
 def test_common_core_float_parses_back(tmp_path, capsys):
     clause = "(X) :- X = 100000000000000000000.0.\n"
     path = write(tmp_path, "float.pl", "p" + clause + "q" + clause)

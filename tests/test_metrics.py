@@ -11,7 +11,7 @@ from logdup import (
     predicate_multiset, render_term, shared_var_count, strict_commonality, total_nodes,
     var_occurrences,
 )
-from logdup import metrics
+from logdup import build_sccs, closeness, metrics, normalize_program, parse_program
 from logdup.metrics import _similar_groups, _WeightRows, max_weight_matching
 from logdup.syntax import align, var_names
 
@@ -519,7 +519,7 @@ def _similar_goal_pairs(seed, count):
         yield goals
 
 
-@pytest.mark.parametrize("vars_limit, group_limit", [(8, 6), (2, 1)])
+@pytest.mark.parametrize("vars_limit, group_limit", [(8, 6), (2, 1), (1, 1)])
 def test_commonality_witness_equals_reference(vars_limit, group_limit):
     approximate = 0
     limits = Limits(exact_vars=vars_limit, exact_group=group_limit)
@@ -604,3 +604,57 @@ def test_weight_rows_track_best_pairing_under_bind_and_unbind(shape, data):
             rows.unbind()
             del rho[bound.pop()]
         assert_rows_match_reference()
+
+
+def _reference_search(v1, v2, rows, base, best):
+    """``metrics._search`` before the cut at the bound on entry: every
+    free image of a variable is tried while its bound beats ``best``."""
+    if len(rows.rho) == len(v1):
+        return base + rows.total, tuple(sorted(rows.rho.items())), rows.pairing()
+    x = v1[len(rows.rho)]
+    for y in v2:
+        if y not in rows.used:
+            rows.bind(x, y)
+            if base + rows.total > best[0]:
+                best = _reference_search(v1, v2, rows, base, best)
+            rows.unbind()
+    return best
+
+
+@given(st.lists(st.sampled_from([("p", 2), ("q", 1), ("r", 2)]), min_size=1, max_size=5),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_search_equals_reference_without_the_bound_cut(shape, data):
+    n_args = sum(arity for _, arity in shape)
+    args1 = data.draw(st.lists(_terms(1), min_size=n_args, max_size=n_args))
+    args2 = data.draw(st.lists(_terms(1), min_size=n_args, max_size=n_args))
+    g1 = _goal_for(shape, args1)
+    g2 = _goal_for(data.draw(st.permutations(shape)), args2)
+    v1, v2 = sorted(var_names(g1)), sorted(var_names(g2))
+    assume(len(v1) <= len(v2))
+    groups = _similar_groups(g1, g2)
+    base, start = len(shape) - 1, (-1, None, None)
+    assert metrics._search(v1, v2, _WeightRows(g1, g2, groups), base, start) \
+        == _reference_search(v1, v2, _WeightRows(g1, g2, groups), base, start)
+
+
+def test_greedy_tries_one_image_per_variable_on_duplicate_lists(monkeypatch):
+    # each fact normalizes to 40 list-cell unifications over 81
+    # variables, beyond the exact limits: both directions run greedily,
+    # and the first image of each variable keeps the bound
+    items = ",".join(map(str, range(40)))
+    s1, s2 = build_sccs(normalize_program(parse_program(f"big([{items}]).\nbig2([{items}]).\n")))
+    (segment,) = s1.segmented[0].segments
+    binds = []
+    bind = _WeightRows.bind
+
+    def counted(rows, x, y):
+        binds.append((x, y))
+        bind(rows, x, y)
+
+    monkeypatch.setattr(_WeightRows, "bind", counted)
+    result = closeness(s1, s2)
+    assert result.sigma == result.denominators[0] == result.denominators[1] == 406
+    # per direction and variable, one trial binding and the final one
+    assert len(var_names(segment)) == 81
+    assert len(binds) == 2 * 2 * 81

@@ -1,8 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 from typing import Optional
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logdup import (
     SCC, ArgPermutation, Atom, Clause, ClauseMapping, ClauseSegments, Goal, Limits,
@@ -12,10 +15,10 @@ from logdup import (
     total_nodes, validate_witness,
 )
 from logdup import mutate_duplicate, structure
-from logdup.depgraph import build_sccs, scc_of
+from logdup.depgraph import build_sccs, goal_shape, scc_of
 from logdup.metrics import anti_unify
 from logdup.oracle import find_structure_witnesses
-from logdup.syntax import Struct, align, rename_vars
+from logdup.syntax import Num, Struct, align, parse_goal, rename_vars
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL, scc_named
 from tests.test_acceptance import FIXTURE, FIXTURE_PREDS, _scale_corpus
 
@@ -669,3 +672,154 @@ def test_witness_cap_counts_dead_combinations(cap_offset):
         (PredSymbol("sw", 3), ArgPermutation((1, 2, 3) if truncated else (3, 2, 1))),)
     assert result.witness.clause_mapping.pairs == (((0, 1), (1, 0)) if truncated else ((0, 0), (1, 1)))
     assert result.witness.renamings == (((("Y", "Y"),),) * 2)
+
+
+# The segment memo of closeness.  A pair key keeps the shapes of both
+# segments verbatim and numbers their constants jointly, so two segment
+# pairs share a key exactly when one is the other under a bijective
+# renaming of functors (per arity) and numerals.
+
+def _pair_key_of(left: str, right: str) -> tuple:
+    return structure._pair_key(goal_shape(parse_goal(left)), goal_shape(parse_goal(right)))
+
+
+@pytest.mark.parametrize("pair, other", [
+    # equal if compounds lost their arity
+    (("p(f(a,b))", "p(f(a,b))"), ("p(f(g(b)))", "p(f(g(b)))")),
+    # equal if numerals lost their type
+    (("p(1)", "p(1.0)"), ("p(1)", "p(1)")),
+    # equal if predicates were numbered like constants
+    (("p(X), q(Y)", "q(X), p(Y)"), ("q(X), p(Y)", "p(X), q(Y)")),
+])
+def test_pair_keys_tell_apart(pair, other):
+    assert _pair_key_of(*pair) != _pair_key_of(*other)
+
+
+def test_pair_key_ignores_constant_names_only():
+    assert _pair_key_of("p(a,X), p(b,1)", "p(b,Y), p(a,2)") \
+        == _pair_key_of("p(c,X), p(d,2.5)", "p(d,Y), p(c,3)")
+    assert _pair_key_of("p(a,X), p(b,1)", "p(b,Y), p(a,2)") \
+        != _pair_key_of("p(a,X), p(b,1)", "p(a,Y), p(b,2)")
+    # a functor's name goes with its arity
+    assert _pair_key_of("p(f(a),f)", "p(f(a),f)")[2] == (0, 1, 2, 0, 1, 2)
+
+
+def test_goal_shape_walks_deep_terms():
+    goal = parse_goal("Y is X" + "+1" * 3000)
+    shape, constants = goal_shape(goal)
+    assert len(shape) == 3 + 2 * 3000  # is/2, Y, X and 3,000 times + and 1
+    assert constants.count(("+", 2)) == constants.count((int, 1)) == 3000
+
+
+def _renamed_constants(term, functors: dict, numerals: dict):
+    if isinstance(term, Num):
+        return numerals[type(term.value), term.value]
+    if isinstance(term, Struct):
+        return Struct(functors[term.functor, len(term.args)],
+                      tuple(_renamed_constants(a, functors, numerals) for a in term.args))
+    return term
+
+
+_key_terms = st.recursive(
+    st.one_of(st.sampled_from(["X", "Y", "Z"]).map(Var),
+              st.sampled_from(["a", "b", "f"]).map(Struct),
+              st.sampled_from([0, 1, 1.0, 2]).map(Num)),
+    lambda inner: st.builds(Struct, st.sampled_from(["f", "g"]),
+                            st.lists(inner, min_size=1, max_size=2).map(tuple)),
+    max_leaves=4)
+_key_goals = st.lists(
+    st.tuples(st.sampled_from([PredSymbol("p", 2), PredSymbol("q", 1)]),
+              st.lists(_key_terms, min_size=2, max_size=2)),
+    min_size=1, max_size=4,
+).map(lambda atoms: Goal(tuple(Atom(pred, tuple(args[:pred.arity])) for pred, args in atoms)))
+
+
+def _constants(goal: Goal) -> set:
+    return set(goal_shape(goal)[1])
+
+
+@given(_key_goals, _key_goals, st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_goal_similarity_ignores_a_joint_renaming_of_constants(q1, q2, rng):
+    constants = sorted(_constants(q1) | _constants(q2), key=repr)
+    functors, numerals = {}, {}
+    for arity in {arity for key, arity in constants if isinstance(key, str)}:
+        names = [key for key, n in constants if isinstance(key, str) and n == arity]
+        for name, new in zip(names, rng.sample(["a", "b", "c", "f", "g", "h"], len(names))):
+            functors[name, arity] = new
+    numbers = [key for key in constants if not isinstance(key[0], str)]
+    for key, new in zip(numbers, rng.sample([0, 1, 2, 3, 0.5, 1.0, 2.0], len(numbers))):
+        numerals[key] = Num(new)
+
+    def renamed(goal):
+        return Goal(tuple(Atom(a.pred, tuple(_renamed_constants(t, functors, numerals)
+                                             for t in a.args)) for a in goal.atoms))
+
+    r1, r2 = renamed(q1), renamed(q2)
+    assert structure._pair_key(goal_shape(q1), goal_shape(q2)) \
+        == structure._pair_key(goal_shape(r1), goal_shape(r2))
+    for limits in (Limits(), Limits(exact_vars=1, exact_group=1)):
+        assert goal_similarity(r1, r2, limits) == goal_similarity(q1, q2, limits)
+
+
+def _reference_clause_pair_score(lseg: ClauseSegments, rseg: ClauseSegments,
+                                 limits: Limits, memo: dict):
+    """``_clause_pair_score`` without the memo: every segment pair is
+    searched."""
+    score = 1 + sum(total_nodes(a) for a in (rseg.head,) + rseg.recursive_calls)
+    alignments = []
+    approximate = False
+    for lq, rq in zip(lseg.segments, rseg.segments):
+        align = goal_similarity(lq, rq, limits)
+        score += align.value
+        alignments.append(align)
+        approximate = approximate or align.approximate
+    return score, tuple(alignments), approximate
+
+
+def _one_shape_program(rng: random.Random, clauses: int) -> str:
+    """Two predicates whose clauses repeat one body shape with varied
+    constants; some clauses call their own predicate."""
+    text = []
+    for name in ("p", "q"):
+        for _ in range(clauses):
+            c = [rng.choice(["a", "b", "c", "0", "1", "1.0"]) for _ in range(5)]
+            call = f"{name}(Y,X), " if rng.random() < 0.5 else ""
+            text.append(f"{name}(X,Y) :- r(X,{c[0]}), r(Y,{c[1]}), s({c[2]},X), {call}"
+                        f"r(Z,{c[3]}), r(X,Z), s(Y,{c[4]}).")
+    return "\n".join(text)
+
+
+@given(st.integers(1, 3), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_closeness_with_the_memo_equals_searching_every_segment_pair(clauses, rng):
+    source = _one_shape_program(rng, clauses)
+    for program in (parse_program(source), normalize_program(parse_program(source))):
+        s1 = scc_of(build_sccs(program), PredSymbol("p", 2))
+        s2 = scc_of(build_sccs(program), PredSymbol("q", 2))
+        for limits in (Limits(), Limits(exact_vars=1, exact_group=1)):
+            result = closeness(s1, s2, limits)
+            with mock.patch.object(structure, "_clause_pair_score", _reference_clause_pair_score):
+                assert result == closeness(s1, s2, limits), source
+
+
+def test_closeness_searches_each_segment_pair_shape_once(monkeypatch):
+    # three clauses a side with one segment each: nine segment pairs and
+    # six keys, as numerals and atoms take different places in a shape
+    source = """
+        p(X) :- r(X,a), r(Y,b), s(Y).
+        p(X) :- r(X,b), r(Y,a), s(Y).
+        p(X) :- r(X,c), r(Y,c), s(Y).
+        q(X) :- r(X,d), r(Y,e), s(Y).
+        q(X) :- r(X,e), r(Y,e), s(Y).
+        q(X) :- r(X,1), r(Y,2), s(Y).
+    """
+    s1 = scc_named(source, "p", 1)
+    s2 = scc_named(source, "q", 1)
+    calls = _counting(monkeypatch, "goal_similarity")
+    result = closeness(s1, s2)
+    keys = {structure._pair_key(lseg.shapes[0], rseg.shapes[0])
+            for lseg in s1.segmented for rseg in s2.segmented}
+    assert len(keys) == len(calls) == 6
+    with mock.patch.object(structure, "_clause_pair_score", _reference_clause_pair_score):
+        assert result == closeness(s1, s2)
