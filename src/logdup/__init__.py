@@ -1,5 +1,12 @@
 """Detection of duplicated and similar predicate definitions in definite
-logic programs."""
+logic programs.
+
+``__all__`` is the library API: parsing and rendering, normalization,
+SCCs, the fingerprint prefilter, exact closeness with its witness and
+common core, and the goal measures.  The other names imported here stay
+importable from ``logdup`` and are documented in their modules; those of
+``oracle`` are the reference implementations that the tests and the
+benchmark compare against."""
 
 from .depgraph import SCC, ClauseSegments, build_sccs, scc_of, segment_clause
 from .fingerprint import (
@@ -28,20 +35,13 @@ from .syntax import (
 )
 
 __all__ = [
-    "SCC", "ClauseSegments", "build_sccs", "scc_of", "segment_clause",
-    "ClausePrint", "GoalPrint", "PredicatePrint", "SCCPrint",
-    "candidate_pairs", "check_glb_conjecture", "clauseprint", "fp_closeness",
-    "goalprint", "predicate_print", "print_glb", "scc_print", "scc_print_glb",
-    "GoalAlignment", "Limits", "MsgResult", "commonality", "goal_similarity",
-    "maximal_similar_subgoals", "msg", "nodes", "predicate_multiset",
-    "shared_var_count", "strict_commonality", "total_nodes",
-    "var_occurrences", "is_normal_atom", "normalize_clause",
-    "normalize_program", "brute_force_commonality", "enumerate_renamings",
-    "mutate_duplicate",
-    "ArgPermutation", "ClauseMapping", "SimilarityResult", "StructureWitness",
-    "closeness", "common_core", "scc_similarity", "self_similarity",
-    "validate_witness", "Atom", "Clause", "Goal", "Num",
-    "PredSymbol", "Program", "PrologSyntaxError", "Struct", "Var",
-    "parse_clause", "parse_goal", "parse_program", "parse_term",
-    "render_atom", "render_clause", "render_term",
+    "Atom", "Clause", "Goal", "Num", "PredSymbol", "Program", "PrologSyntaxError",
+    "Struct", "Var", "parse_clause", "parse_goal", "parse_program", "parse_term",
+    "render_clause", "render_term",
+    "normalize_clause", "normalize_program",
+    "SCC", "build_sccs", "scc_of",
+    "candidate_pairs", "fp_closeness", "scc_print",
+    "ArgPermutation", "ClauseMapping", "Limits", "SimilarityResult", "StructureWitness",
+    "closeness", "common_core", "scc_similarity", "self_similarity", "validate_witness",
+    "GoalAlignment", "commonality", "goal_similarity", "strict_commonality",
 ]

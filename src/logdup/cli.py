@@ -71,10 +71,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--emit-common-core", action="store_true",
                         help="include a generalized definition for each exact pair")
     limits = Limits()
-    parser.add_argument("--exact-vars-limit", type=_positive_int, default=limits.exact_vars)
-    parser.add_argument("--exact-group-limit", type=_positive_int, default=limits.exact_group)
-    parser.add_argument("--arity-limit", type=_positive_int, default=limits.arity)
-    parser.add_argument("--witness-cap", type=_positive_int, default=limits.witness_cap)
+    parser.add_argument("--exact-vars-limit", type=_positive_int, default=limits.exact_vars,
+                        help="most variables of a goal whose renamings are searched "
+                             "exactly (default %(default)s)")
+    parser.add_argument("--exact-group-limit", type=_positive_int, default=limits.exact_group,
+                        help="most atoms of one predicate in a goal whose pairings are "
+                             "searched exactly (default %(default)s)")
+    parser.add_argument("--arity-limit", type=_positive_int, default=limits.arity,
+                        help="largest arity whose argument permutations are all tried "
+                             "(default %(default)s)")
+    parser.add_argument("--witness-cap", type=_positive_int, default=limits.witness_cap,
+                        help="most predicate bijection x argument permutation "
+                             "combinations examined per pair (default %(default)s)")
     return parser
 
 

@@ -7,9 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .syntax import (
-    Atom, Clause, Goal, Num, PredSymbol, Program, Struct, Var, is_builtin, node_counts,
-)
+from .syntax import Atom, Clause, Goal, PredSymbol, Program, is_builtin, node_counts, shape
 
 
 @dataclass(frozen=True)
@@ -23,8 +21,13 @@ class SCC:
     # fields, so equality, hashing and copies by field are unaffected).
 
     @cached_property
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
+    def clause_indices(self) -> dict:
+        """Each member's clause indices, in clause order; its keys are the
+        members."""
+        indices: dict = {p: [] for p in self.members}
+        for i, c in enumerate(self.clauses):
+            indices[c.head.pred].append(i)
+        return {p: tuple(ix) for p, ix in indices.items()}
 
     @cached_property
     def segmented(self) -> tuple:
@@ -32,10 +35,10 @@ class SCC:
         return tuple(segment_clause(c, self) for c in self.clauses)
 
     def clauses_of(self, pred: PredSymbol) -> tuple:
-        return tuple(c for c in self.clauses if c.head.pred == pred)
+        return tuple(self.clauses[i] for i in self.clause_indices[pred])
 
     def segments_of(self, pred: PredSymbol) -> tuple:
-        return tuple(seg for seg in self.segmented if seg.head.pred == pred)
+        return tuple(self.segmented[i] for i in self.clause_indices[pred])
 
     def name(self) -> str:
         return "[" + ",".join(str(p) for p in self.members) + "]"
@@ -70,42 +73,8 @@ class ClauseSegments:
 
     @cached_property
     def shapes(self) -> tuple:
-        """``goal_shape`` of each segment."""
-        return tuple(map(goal_shape, self.segments))
-
-    def reconstruct(self) -> tuple:
-        atoms = []
-        for i, seg in enumerate(self.segments):
-            atoms.extend(seg.atoms)
-            if i < len(self.recursive_calls):
-                atoms.append(self.recursive_calls[i])
-        return tuple(atoms)
-
-
-def goal_shape(goal: Goal) -> tuple:
-    """``(shape, constants)`` of a goal, from one pre-order walk.  The
-    shape holds each variable's name, each atom's predicate, each
-    compound's arity and None for each numeral; ``constants`` holds each
-    compound's (functor, arity) and each numeral's (type, value), in the
-    same order.  Goals of one shape differ in their constants at most."""
-    shape = []
-    constants = []
-    stack = list(reversed(goal.atoms))
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Var):
-            shape.append(e.name)
-        elif isinstance(e, Num):
-            shape.append(None)
-            constants.append((type(e.value), e.value))
-        elif isinstance(e, Struct):
-            shape.append(len(e.args))
-            constants.append((e.functor, len(e.args)))
-            stack.extend(reversed(e.args))
-        else:
-            shape.append(e.pred)
-            stack.extend(reversed(e.args))
-    return tuple(shape), tuple(constants)
+        """``syntax.shape`` of each segment."""
+        return tuple(map(shape, self.segments))
 
 
 def build_sccs(program: Program) -> tuple:
@@ -167,13 +136,13 @@ def build_sccs(program: Program) -> tuple:
 
 def segment_clause(clause: Clause, scc: SCC) -> ClauseSegments:
     """Split the body at recursive calls, preserving atom order."""
-    if clause.head.pred not in scc.member_set:
+    if clause.head.pred not in scc.clause_indices:
         raise ValueError(f"clause head {clause.head.pred} is not in {scc.name()}")
     segments = []
     calls = []
     current: list = []
     for atom in clause.body.atoms:
-        if atom.pred in scc.member_set:
+        if atom.pred in scc.clause_indices:
             segments.append(Goal(tuple(current)))
             current = []
             calls.append(atom)
@@ -185,6 +154,6 @@ def segment_clause(clause: Clause, scc: SCC) -> ClauseSegments:
 
 def scc_of(sccs, pred: PredSymbol) -> SCC:
     for scc in sccs:
-        if pred in scc.member_set:
+        if pred in scc.clause_indices:
             return scc
     raise KeyError(str(pred))

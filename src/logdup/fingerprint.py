@@ -251,6 +251,11 @@ def candidate_pairs(program: Program, threshold=Fraction(1, 2)) -> tuple:
     below the threshold is skipped without computing the estimate; the
     bound is compared in integers, ``kept / total < num / den`` as
     ``kept * den < num * total``.
+
+    Two SCCs of one bucket always have an estimate: a print glb is None
+    only across segment counts, and a bucket's predicates and clauses
+    can always be matched within equal counts, which a heaviest matching
+    then does.
     """
     threshold = Fraction(threshold)
     num, den = threshold.numerator, threshold.denominator
@@ -272,8 +277,6 @@ def candidate_pairs(program: Program, threshold=Fraction(1, 2)) -> tuple:
                 if kept < num * prints[i].total or kept < num * prints[j].total:
                     continue
                 est = fp_closeness(prints[i], prints[j])
-                if est is None:
-                    continue
                 if min(est) >= threshold:
                     results.append((sccs[i], sccs[j], est))
     results.sort(key=lambda t: (-min(t[2]), t[0].name(), t[1].name()))

@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .depgraph import SCC
-from .syntax import Goal, Num, Struct, Var, align, node_counts, rename_vars, var_names
+from .syntax import Goal, Num, Struct, Var, align, node_counts, rename_vars, shape, var_names
 
 
 @dataclass(frozen=True)
@@ -146,9 +146,11 @@ def anti_unify(a, b, prefix: str, pairs: dict):
     """Anti-unification of two terms (Plotkin 1970, Reynolds 1970).
 
     Each distinct mismatched pair of subterms becomes one generalization
-    variable named ``prefix`` plus an ordinal; ``pairs`` maps every such
-    (left, right) pair to its variable and may be shared between calls
-    that must reuse variables.  Rebuilt bottom-up without recursion, so
+    variable named ``prefix`` plus an ordinal; ``pairs`` maps the
+    ``(shape(left), shape(right))`` of every such pair to ``(variable,
+    left, right)`` and may be shared between calls that must reuse
+    variables.  Keys are flat, so no term is hashed or compared
+    recursively, and the result is rebuilt bottom-up without recursion:
     terms of any depth are generalized.
     """
     done: list = []  # generalized parts, in order
@@ -166,9 +168,10 @@ def anti_unify(a, b, prefix: str, pairs: dict):
             work.append((x, y, len(x.args)))
             work.extend((u, v, None) for u, v in zip(reversed(x.args), reversed(y.args)))
         else:
-            if (x, y) not in pairs:
-                pairs[x, y] = Var(f"{prefix}{len(pairs) + 1}")
-            done.append(pairs[x, y])
+            key = shape(x), shape(y)
+            if key not in pairs:
+                pairs[key] = (Var(f"{prefix}{len(pairs) + 1}"), x, y)
+            done.append(pairs[key][0])
     return done[0]
 
 
@@ -341,13 +344,16 @@ def _directed_commonality(q1: Goal, q2: Goal, groups: list, v1: list, v2: list,
     limits a branch-and-bound prunes on ``_WeightRows.total``; beyond
     them each variable greedily takes the first image with the best
     bound.  A binding never raises the bound, so an image that keeps it
-    is the best and the greedy tries no further one.
+    is the best and the greedy tries no further one.  A greedy result is
+    approximate only below the root bound, which no renaming exceeds and
+    which the transposed search from q2 shares.
     """
     base = sum(len(left) for left, _ in groups) - 1
     rows = _WeightRows(q1, q2, groups)
 
     if not (len(v1) <= limits.exact_vars
             and max(len(left) for left, _ in groups) <= limits.exact_group):
+        root = rows.total
         for x in v1:
             best_y, best_s = None, -1
             before = rows.total
@@ -361,7 +367,7 @@ def _directed_commonality(q1: Goal, q2: Goal, groups: list, v1: list, v2: list,
                         break
             rows.bind(x, best_y)
         return GoalAlignment(tuple(sorted(rows.rho.items())), rows.pairing(),
-                             base + rows.total, approximate=True)
+                             base + rows.total, approximate=rows.total < root)
 
     value, renaming, pairing = _search(v1, v2, rows, base, (-1, None, None))
     return GoalAlignment(renaming, pairing, value)
@@ -400,8 +406,9 @@ def _commonality(q1: Goal, q2: Goal, groups: list, limits: Limits) -> GoalAlignm
     then a bijection, so the search from q2 ranges over the inverse
     renamings and reaches the same value.  Beyond the exact-mode limits
     the result is a greedy lower bound, both directions are searched and
-    the larger taken, and the witness is flagged approximate.  A search
-    from q2 is turned around, so the witness maps q1 onto q2.
+    the larger taken, and the witness is flagged approximate unless it
+    reaches the root bound.  A search from q2 is turned around, so the
+    witness maps q1 onto q2.
     """
     if not groups:
         return GoalAlignment()

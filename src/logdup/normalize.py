@@ -32,13 +32,11 @@ class _Normalizer:
         self.params = _fresh_names(
             chain(string.ascii_uppercase, (f"P{i}" for i in count(1))), used)
         self.temps = _fresh_names((f"V{i}" for i in count(1)), used)
-        self.binder: dict = {}  # original var name -> normalized Var
+        self.binder: dict = {}  # head variable name -> the head parameter it binds
         self.body: list = []
 
     def image(self, v: Var) -> Var:
-        if v.name not in self.binder:
-            self.binder[v.name] = Var(v.name)
-        return self.binder[v.name]
+        return self.binder.get(v.name, v)
 
     def flatten(self, lhs: Var, term):
         """Emit lhs = <one level of term>, then its subterms pre-order.
@@ -91,14 +89,24 @@ def _eliminate_var_unifications(body: list, head_params: set) -> list:
     thus only re-check atoms it kept before, and eliminations happen in
     body order.  The substitution (dropped name -> kept name) is applied
     to the surviving atoms once, at the end.
+
+    The would-duplicate test reads an index from each kept name to the
+    ``=`` atoms holding it or a name merged into it, built when first
+    needed; an elimination merges the smaller set into the larger.  An
+    atom eliminated or dropped holds one name from then on, so it never
+    needs removing.
     """
     subst: dict = {}
 
     def current(name):
-        while name in subst:
-            name = subst[name]
-        return name
+        root = name
+        while root in subst:
+            root = subst[root]
+        while name != root:
+            subst[name], name = root, subst[name]
+        return root
 
+    holders: dict = {}  # kept name -> indices of the `=` atoms holding it
     kept = []
     for idx, atom in enumerate(body):
         lhs, rhs = atom.args if atom.pred == EQ else (None, None)
@@ -112,10 +120,18 @@ def _eliminate_var_unifications(body: list, head_params: set) -> list:
             kept.append(atom)
             continue
         keep, drop = (rhs, lhs) if rhs in head_params else (lhs, rhs)
-        if any(other.pred == EQ and {keep, drop} <= {current(n) for n in var_names(other)}
-               for other in chain(kept, body[idx + 1:])):
+        if not holders:  # built for the first test, before any elimination
+            for k, other in enumerate(body):
+                if other.pred == EQ:
+                    for name in var_names(other):
+                        holders.setdefault(name, set()).add(k)
+        small, large = sorted((holders[keep], holders[drop]), key=len)
+        if any(other != idx and other in large for other in small):
             kept.append(atom)
             continue
+        large |= small
+        holders[keep] = large
+        del holders[drop]
         subst[drop] = keep
     if not subst:
         return kept
@@ -132,17 +148,17 @@ def normalize_clause(clause: Clause) -> Clause:
     V1, V2, ...; names never affect any measure.
     """
     nz = _Normalizer(clause)
-    new_head_args = []
-    for arg in clause.head.args:
-        param = Var(next(nz.params))
-        new_head_args.append(param)
+    new_head_args = [Var(next(nz.params)) for _ in clause.head.args]
+    # a variable argument binds its first parameter, also where it first
+    # occurs inside an earlier compound argument
+    for arg, param in zip(clause.head.args, new_head_args):
         if isinstance(arg, Var):
-            if arg.name in nz.binder:
-                nz.body.append(Atom(EQ, (param, nz.binder[arg.name])))
-            else:
-                nz.binder[arg.name] = param
-        else:
+            nz.binder.setdefault(arg.name, param)
+    for arg, param in zip(clause.head.args, new_head_args):
+        if not isinstance(arg, Var):
             nz.flatten(param, arg)
+        elif nz.binder[arg.name] is not param:
+            nz.body.append(Atom(EQ, (param, nz.binder[arg.name])))
 
     for atom in clause.body.atoms:
         pred = atom.pred

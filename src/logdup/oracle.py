@@ -97,8 +97,8 @@ def msg(e1, e2) -> MsgResult:
         gen = _msg_atom(e1, e2, pairs)
     else:
         gen = anti_unify(e1, e2, "_M", pairs)
-    return MsgResult(gen, {v.name: a for (a, _), v in pairs.items()},
-                     {v.name: b for (_, b), v in pairs.items()})
+    return MsgResult(gen, {v.name: a for v, a, _ in pairs.values()},
+                     {v.name: b for v, _, b in pairs.values()})
 
 
 def _msg_atom(a: Atom, b: Atom, pairs: dict) -> Atom:

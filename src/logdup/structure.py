@@ -41,20 +41,12 @@ class ClauseMapping:
     pairs: tuple  # tuple[(left index, right index), ...]
     pred_map: tuple  # tuple[(PredSymbol, PredSymbol), ...]
 
-    @property
-    def pred_dict(self) -> dict:
-        return dict(self.pred_map)
-
 
 @dataclass(frozen=True)
 class StructureWitness:
     clause_mapping: ClauseMapping
     arg_permutations: tuple  # tuple[(PredSymbol, ArgPermutation), ...]
     renamings: tuple  # per clause pair: sorted tuple[(from, to), ...]
-
-    @property
-    def perm_dict(self) -> dict:
-        return dict(self.arg_permutations)
 
 
 @dataclass(frozen=True)
@@ -127,7 +119,7 @@ def _pred_bijections(s1: SCC, s2: SCC):
     groups1, groups2 = {}, {}
     for scc, groups in ((s1, groups1), (s2, groups2)):
         for p in scc.members:
-            groups.setdefault((p.arity, len(scc.clauses_of(p))), []).append(p)
+            groups.setdefault((p.arity, len(scc.clause_indices[p])), []).append(p)
     if {k: len(v) for k, v in groups1.items()} != {k: len(v) for k, v in groups2.items()}:
         return
     per_group = [[tuple(zip(groups1[k], perm)) for perm in itertools.permutations(groups2[k])]
@@ -153,11 +145,9 @@ def _witness_combos(s1: SCC, s2: SCC, arity: int):
     indices and those of its image in s2; ``rhos`` maps each compatible
     clause pair (i, j) to its variable renaming, and is None when some
     clause of s1 has no compatible partner (the combination is dead)."""
-    lefts = [[i for i, c in enumerate(s1.clauses) if c.head.pred == q] for q in s1.members]
     tables: dict = {}  # (i, j) -> _arg_table of that clause pair
     for pred_map in _pred_bijections(s1, s2):
-        groups = [(left, [j for j, c in enumerate(s2.clauses) if c.head.pred == pred_map[q]])
-                  for q, left in zip(s1.members, lefts)]
+        groups = [(left, s2.clause_indices[pred_map[q]]) for q, left in s1.clause_indices.items()]
         for left, right in groups:
             for i, j in itertools.product(left, right):
                 if (i, j) not in tables:
@@ -184,8 +174,8 @@ def validate_witness(s1: SCC, s2: SCC, w: StructureWitness) -> bool:
     left clause onto the right ones under the witness's renaming of the
     pair, one that is injective; a variable the renaming leaves out maps
     to itself."""
-    pred_map = w.clause_mapping.pred_dict
-    perms = w.perm_dict
+    pred_map = dict(w.clause_mapping.pred_map)
+    perms = dict(w.arg_permutations)
     for (i, j), renaming in zip(w.clause_mapping.pairs, w.renamings):
         table = _arg_table(s1.segmented[i], s2.segmented[j])
         if table is None or any(p not in pred_map or p not in perms for p, _, _ in table):
@@ -210,7 +200,7 @@ def validate_witness(s1: SCC, s2: SCC, w: StructureWitness) -> bool:
 # and closeness computes it once per clause pair.
 
 def _pair_key(lshape: tuple, rshape: tuple) -> tuple:
-    """The memo key of a segment pair from the ``goal_shape`` of each
+    """The memo key of a segment pair from the ``shape`` of each
     side: both shapes and the constants of both sides numbered jointly by
     first occurrence.  Two pairs with one key differ by a bijective
     renaming of constants, which keeps every equality between them."""
@@ -331,7 +321,7 @@ def common_core(s1: SCC, s2: SCC, result: SimilarityResult) -> tuple:
     survive, anti-unified pairwise."""
     if result.approximate:
         raise ValueError("refusing to extract a common core from an approximate result")
-    pred_map = result.witness.clause_mapping.pred_dict
+    pred_map = dict(result.witness.clause_mapping.pred_map)
     fresh = {pred_map[q]: PredSymbol(f"core_{q.name}_{pred_map[q].name}", q.arity)
              for q in s1.members}
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterator, Union
+from typing import Union
 
 
 class PrologSyntaxError(Exception):
@@ -71,9 +71,6 @@ class Struct:
 
     def __repr__(self):
         return render_term(self)
-
-
-Term = Union[Var, Num, Struct]
 
 
 @dataclass(frozen=True, order=True)
@@ -137,10 +134,6 @@ class Program:
     predicates: dict = field(default_factory=dict)  # PredSymbol -> tuple[Clause, ...]
     warnings: tuple = ()
     excluded: frozenset = frozenset()
-
-    def all_clauses(self) -> Iterator[Clause]:
-        for clauses in self.predicates.values():
-            yield from clauses
 
 
 # Equality is the only non-arithmetic builtin the analysis knows about.
@@ -429,7 +422,7 @@ def parse_clause(text: str, filename: str = "<string>") -> Clause:
     if [tok[0] for tok in _tokenize(text, filename)[-2:]] != ["end", "eof"]:
         text += "\n."
     prog = parse_program(text, filename)
-    clauses = list(prog.all_clauses())
+    clauses = [c for clauses in prog.predicates.values() for c in clauses]
     if len(clauses) != 1:
         raise ValueError(f"expected exactly one definite clause, found {len(clauses)}")
     return clauses[0]
@@ -548,25 +541,32 @@ def render_term(term, maxprec: int = 1200) -> str:
             prec, optype = _INFIX_OPS[term.functor]
             lmax = prec if optype == "yfx" else prec - 1
             rmax = prec if optype == "xfy" else prec - 1
-            # A left-nested chain of one yfx priority, as the parser builds
-            # ``X+1+...+1``, is rendered along its left spine in a loop.
-            tails = []
-            left = term
+            # A chain of one priority is rendered along its spine in a loop:
+            # the left one of a yfx chain, as the parser builds ``X+1+...+1``,
+            # or the right one of an xfy chain such as ``a,b,...,z``.
+            spine = 0 if optype == "yfx" else 1
+            ops, texts = [], []
             while True:
-                right = render_term(left.args[1], rmax)
-                if left.functor in _SPACED_OPS:
-                    op = f" {left.functor} "
-                elif right.startswith("-") and left.functor not in (",", ";"):
-                    # standard Prolog reads ``--``, ``+-`` or ``*-`` as one symbol token
-                    op = f"{left.functor} "
-                else:
-                    op = left.functor
-                tails.append(op + right)
-                left = left.args[0]
-                if not (optype == "yfx" and isinstance(left, Struct) and len(left.args) == 2
-                        and _INFIX_OPS.get(left.functor) == (prec, optype)):
+                ops.append(term.functor)
+                texts.append(render_term(term.args[1 - spine], (rmax, lmax)[spine]))
+                term = term.args[spine]
+                if not (optype != "xfx" and isinstance(term, Struct) and len(term.args) == 2
+                        and _INFIX_OPS.get(term.functor) == (prec, optype)):
                     break
-            text = render_term(left, lmax) + "".join(reversed(tails))
+            texts.append(render_term(term, (lmax, rmax)[spine]))
+            if not spine:
+                ops.reverse()
+                texts.reverse()
+            # the text right of an operator starts with the next operand's
+            parts = [texts[0]]
+            for op, right in zip(ops, texts[1:]):
+                if op in _SPACED_OPS:
+                    op = f" {op} "
+                elif right.startswith("-") and op not in (",", ";"):
+                    # standard Prolog reads ``--``, ``+-`` or ``*-`` as one symbol token
+                    op = f"{op} "
+                parts += (op, right)
+            text = "".join(parts)
             return f"({text})" if prec > maxprec else text
         if not term.args:
             return _render_name(term.functor)
@@ -633,6 +633,34 @@ def node_counts(entity) -> tuple:
         elif e is not None:
             raise TypeError(f"cannot count the nodes of {e!r}")
     return count, variables
+
+
+def shape(entity) -> tuple:
+    """``(shape, constants)`` of a term, atom or goal, from one pre-order
+    walk.  The shape holds each variable's name, each atom's predicate,
+    each compound's arity and None for each numeral; ``constants`` holds
+    each compound's (functor, arity) and each numeral's (type, value), in
+    the same order.  Entities of one shape differ in their constants at
+    most, and two terms are equal exactly when both parts are, so the
+    pair stands for a term as a flat key, hashed without recursion."""
+    names = []
+    constants = []
+    stack = list(reversed(entity.atoms)) if isinstance(entity, Goal) else [entity]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Var):
+            names.append(e.name)
+        elif isinstance(e, Num):
+            names.append(None)
+            constants.append((type(e.value), e.value))
+        elif isinstance(e, Struct):
+            names.append(len(e.args))
+            constants.append((e.functor, len(e.args)))
+            stack.extend(reversed(e.args))
+        else:
+            names.append(e.pred)
+            stack.extend(reversed(e.args))
+    return tuple(names), tuple(constants)
 
 
 def align(a, b) -> tuple:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from logdup import Limits, closeness
+from logdup import Limits, closeness, parse_clause, render_clause
 from logdup import cli
 from logdup.cli import Config, build_arg_parser, main, run
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL
@@ -225,6 +225,30 @@ def test_memoized_segment_pairs_with_deep_arithmetic(tmp_path, options):
     assert "sigma: 6036 / 6036 and 6036" in result.stdout
 
 
+@pytest.mark.parametrize("options, x, y", [([], "A", "B"), (["--no-normalize"], "X", "Y")],
+                         ids=["normalized", "raw"])
+def test_common_core_generalizes_a_deep_mismatch(tmp_path, options, x, y):
+    # the 3,000-deep expression and X*2 differ at the root: one variable
+    path = write(tmp_path, "deep.pl",
+                 f"p(X,Y) :- Y is X{'+1' * 3000}.\nq(X,Y) :- Y is X*2.\n")
+    result = run_cli([path, "--threshold", "0", "--fp-threshold", "0",
+                      "--emit-common-core", *options])
+    assert (result.returncode, result.stderr) == (0, "")
+    assert f"  common core:\n    core_p_q({x},{y}) :- {y} is G1.\n" in result.stdout
+
+
+def test_common_core_of_a_long_conjunction_term_parses_back(tmp_path):
+    conjunction = ",".join(["a"] * 3000)
+    clause = f"(X) :- X = ({conjunction}).\n"
+    path = write(tmp_path, "conj.pl", "p" + clause + "q" + clause)
+    result = run_cli([path, "--no-normalize", "--emit-common-core"])
+    assert (result.returncode, result.stderr) == (0, "")
+    core = result.stdout.split("  common core:\n    ")[1]
+    assert core == f"core_p_q(X) :- X = ({conjunction}).\n"
+    # compared as text: term equality on a 3,000-deep term recurses
+    assert render_clause(parse_clause(core)) + "\n" == core
+
+
 def test_common_core_float_parses_back(tmp_path, capsys):
     clause = "(X) :- X = 100000000000000000000.0.\n"
     path = write(tmp_path, "float.pl", "p" + clause + "q" + clause)
@@ -236,6 +260,17 @@ def test_deep_list_fact_is_analyzed(tmp_path, capsys):
     path = write(tmp_path, "deep.pl", "big([" + ",".join(map(str, range(2000))) + "]).\n")
     assert main([path]) == 0
     assert main([path, "--no-normalize"]) == 0
+
+
+def test_duplicate_list_facts_beyond_the_exact_limits_are_exact(tmp_path, capsys):
+    # the greedy search reaches the root bound, so the pair is exact and
+    # gets a common core
+    items = ",".join(map(str, range(40)))
+    path = write(tmp_path, "list.pl", f"big([{items}]).\nbig2([{items}]).\n")
+    assert main([path, "--emit-common-core", "--format", "json"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["pairs"]
+    assert (entry["sigma"], entry["approximate"]) == (406, False)
+    assert entry["common_core"].startswith("core_big_big2(A) :- A = [V1|V2], V1 = 0, ")
 
 
 def test_deep_list_facts_compared_without_normalization(tmp_path, capsys):
@@ -307,10 +342,13 @@ def test_pipeline_leaves_no_reference_cycles(tmp_path, fields, exercised):
     # safe only while nothing in it builds a reference cycle
     good = write(tmp_path, "good.pl", CORPUS)
     bad = write(tmp_path, "bad.pl", "p(a :- q.")
+    # no renaming reaches the root bound of these segments, so the greedy
+    # search leaves their pair approximate
+    greedy = write(tmp_path, "greedy.pl", "greedy_p(X) :- r(X,Y,Y).\ngreedy_q(X) :- r(X,Y,Z).\n")
     gc.collect()
     gc.disable()
     try:
-        code, report = run(Config(paths=[good, bad], **fields))
+        code, report = run(Config(paths=[good, bad, greedy], **fields))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -334,14 +372,28 @@ def test_limit_flags_default_to_limits():
         == asdict(Limits())
 
 
+# No renaming of the two variables of rep_a's segment reaches its root
+# bound (Y pairs with both Y and Z), so the greedy search leaves the pair
+# approximate.
+REPEATED = """
+rep_a(X) :- r(X,Y,Y), r(X,Y,Y).
+rep_b(X) :- r(X,Y,Z), r(X,Y,Z).
+"""
+
+
 @pytest.mark.parametrize("name", list(LIMIT_FLAGS))
 def test_each_limit_flag_reaches_its_layer(tmp_path, capsys, monkeypatch, name):
-    # app/3 ~ append/3 is exact at the default limits, and each limit set to
-    # 1 alone cuts a search: the renamings of two or more variables, the
-    # pairing of the two '=' atoms of a normalized clause, the argument
-    # permutations of an arity-3 predicate, or the six (identity first)
-    # argument permutation combinations
-    path = write(tmp_path, "dup.pl", APPEND + APP)
+    # each pair is exact at the default limits, and each limit set to 1
+    # alone cuts a search: the renamings of two or more variables or the
+    # pairing of two r/3 atoms of rep_a ~ rep_b, the argument permutations
+    # of arity-3 app ~ append, or its six (identity first) argument
+    # permutation combinations
+    if name in ("exact_vars", "exact_group"):
+        path = write(tmp_path, "rep.pl", REPEATED)
+        header = "similar: [rep_a/1] ~ [rep_b/1]\n  closeness: (0.833, 0.833)"
+    else:
+        path = write(tmp_path, "dup.pl", APPEND + APP)
+        header = "duplicate: [app/3] ~ [append/3]\n  closeness: (1.000, 1.000)"
     seen = []
 
     def recorded(left, right, limits):
@@ -356,7 +408,7 @@ def test_each_limit_flag_reaches_its_layer(tmp_path, capsys, monkeypatch, name):
         assert entry["approximate"] is approximate
         assert main([path, *extra]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("duplicate: [app/3] ~ [append/3]\n  closeness: (1.000, 1.000)")
+        assert out.startswith(header)
         assert ("note: search was truncated; values are a lower bound" in out) is approximate
         assert seen == [limits, limits]
         seen.clear()

@@ -47,7 +47,7 @@ def test_undefined_and_builtin_calls_are_leaves():
 def test_excluded_predicates_not_in_graph():
     program = parse_program("p(X) :- q(X) ; r(X).\nq(a).")
     sccs = build_sccs(program)
-    assert all(PredSymbol("p", 1) not in scc.member_set for scc in sccs)
+    assert all(PredSymbol("p", 1) not in scc.clause_indices for scc in sccs)
 
 
 def test_segment_clause_splits_at_recursive_calls():
@@ -76,7 +76,10 @@ def test_segment_reconstruct_round_trip():
     scc = scc_of(build_sccs(program), PredSymbol("e", 1))
     for clause in scc.clauses:
         seg = segment_clause(clause, scc)
-        assert seg.reconstruct() == clause.body.atoms
+        atoms = list(seg.segments[0].atoms)
+        for call, segment in zip(seg.recursive_calls, seg.segments[1:]):
+            atoms += (call,) + segment.atoms
+        assert tuple(atoms) == clause.body.atoms
 
 
 def test_segment_clause_rejects_foreign_head():

@@ -203,6 +203,17 @@ def test_symbol_bound_is_at_least_the_estimate(shape, data):
         assert _shared_symbols(a, b) >= glb.total
 
 
+@given(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+                min_size=1, max_size=3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_same_bucket_prints_have_an_estimate(shape, data):
+    # two SCCs of one candidate_pairs bucket: the same segment counts per
+    # predicate, predicates and clauses in any order, any symbols
+    other = [data.draw(st.permutations(clauses)) for clauses in data.draw(st.permutations(shape))]
+    a, b = _scc_print_of_shape(data, shape), _scc_print_of_shape(data, other)
+    assert fp_closeness(a, b) is not None
+
+
 def _ungated_candidate_pairs(program, thresholds):
     """Every same-bucket pair whose estimate reaches each threshold, in
     the order ``candidate_pairs`` reports them, by SCC names."""

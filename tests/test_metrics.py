@@ -13,7 +13,7 @@ from logdup import (
 )
 from logdup import build_sccs, closeness, metrics, normalize_program, parse_program
 from logdup.metrics import _similar_groups, _WeightRows, max_weight_matching
-from logdup.syntax import align, var_names
+from logdup.syntax import align, rename_vars, shape, var_names
 
 Q1 = "p(f(X),g(Y,h(Z,a))), q(Z,X)"
 Q2 = "p(f(T),g(T,h(Z,b))), q(Z,T)"
@@ -94,7 +94,7 @@ def test_anti_unify_walks_deep_terms():
     pairs: dict = {}
     # compared as text: term equality on a 3,000-deep term recurses
     assert render_term(metrics.anti_unify(left, right, "G", pairs)) == "G1" + "+1" * 3000
-    assert pairs == {(Var("X"), Var("Y")): Var("G1")}
+    assert pairs == {(shape(Var("X")), shape(Var("Y"))): (Var("G1"), Var("X"), Var("Y"))}
 
 
 def test_shared_var_count_worked_example():
@@ -436,8 +436,9 @@ def _reference_directed_commonality(q1, q2, limits):
             rho[x] = best_y
             used.add(best_y)
         value, pairing = _best_pairing(table, rho)
-        return GoalAlignment(tuple(sorted(rho.items())), pairing,
-                             base + value, approximate=True)
+        # exact when it reaches the root bound
+        return GoalAlignment(tuple(sorted(rho.items())), pairing, base + value,
+                             approximate=value < _best_pairing(table, {})[0])
 
     best = {"value": -1, "rho": None, "pairing": None}
     rho: dict = {}
@@ -520,16 +521,27 @@ def _similar_goal_pairs(seed, count):
 
 
 @pytest.mark.parametrize("vars_limit, group_limit", [(8, 6), (2, 1), (1, 1)])
-def test_commonality_witness_equals_reference(vars_limit, group_limit):
-    approximate = 0
+def test_commonality_witness_equals_reference(vars_limit, group_limit, monkeypatch):
+    searches = []
+    search = metrics._search
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(metrics, "_search", counted)
+    approximate = greedy = 0
     limits = Limits(exact_vars=vars_limit, exact_group=group_limit)
     for g1, g2 in _similar_goal_pairs(vars_limit * 100 + group_limit, 2000):
+        searches.clear()
         align = commonality(g1, g2, limits)
         assert align == _reference_commonality(g1, g2, limits), (g1, g2)
         approximate += align.approximate
-    # both the exact search and the greedy fallback are covered
-    assert (approximate == 0) == (vars_limit == 8)
-    assert vars_limit == 8 or approximate > 1000
+        greedy += not searches
+    # both the exact search and the greedy fallback are covered, and the
+    # greedy both reaches the root bound and falls short of it
+    assert (greedy == 0) == (approximate == 0) == (vars_limit == 8)
+    assert vars_limit == 8 or (greedy > 1000 and approximate < greedy)
 
 
 def test_commonality_searches_one_direction_on_equal_exact_counts(monkeypatch):
@@ -547,9 +559,15 @@ def test_commonality_searches_one_direction_on_equal_exact_counts(monkeypatch):
     assert len(calls) == 1
     assert (align.value, dict(align.renaming), align.approximate) == (
         5, {"A": "Y", "B": "Z"}, False)
-    # beyond the exact limits both greedy directions still run
+    # beyond the exact limits a greedy result at the root bound is exact
+    # too, and only one that falls short of it runs the other direction
     calls.clear()
-    commonality(g1, g2, Limits(exact_vars=1))
+    assert commonality(g1, g2, Limits(exact_vars=1)) == align
+    assert len(calls) == 1
+    calls.clear()
+    align = commonality(parse_goal("p(A,A), q(B)"), parse_goal("p(X,Y), q(Y)"),
+                        Limits(exact_vars=1))
+    assert (align.value, align.approximate) == (5, True)
     assert len(calls) == 2
 
 
@@ -638,10 +656,34 @@ def test_search_equals_reference_without_the_bound_cut(shape, data):
         == _reference_search(v1, v2, _WeightRows(g1, g2, groups), base, start)
 
 
+@given(_shapes, st.data())
+@settings(max_examples=300, deadline=None)
+def test_greedy_results_flagged_exact_are_optimal(shape, data):
+    # renamed, reordered and near copies, searched greedily
+    n_args = sum(arity for _, arity in shape)
+    g1 = _goal_for(shape, data.draw(st.lists(_terms(1), min_size=n_args, max_size=n_args)))
+    names = var_names(g1)
+    images = data.draw(st.permutations([f"W{i}" for i in range(len(names))]))
+    atoms = data.draw(st.permutations(rename_vars(g1, dict(zip(names, images))).atoms))
+    for _ in range(data.draw(st.integers(0, 2))):
+        k = data.draw(st.integers(0, len(atoms) - 1))
+        args = list(atoms[k].args)
+        args[data.draw(st.integers(0, len(args) - 1))] = data.draw(_terms(1))
+        atoms[k] = Atom(atoms[k].pred, tuple(args))
+    g2 = Goal(tuple(atoms))
+    assume(len(var_names(g2)) <= 5)
+    align = commonality(g1, g2, Limits(exact_vars=1, exact_group=1))
+    if align.approximate:
+        assert align.value <= brute_force_commonality(g1, g2)
+    else:
+        assert align.value == brute_force_commonality(g1, g2)
+
+
 def test_greedy_tries_one_image_per_variable_on_duplicate_lists(monkeypatch):
     # each fact normalizes to 40 list-cell unifications over 81
-    # variables, beyond the exact limits: both directions run greedily,
-    # and the first image of each variable keeps the bound
+    # variables, beyond the exact limits: the greedy runs, the first image
+    # of each variable keeps the bound, and a result at the root bound is
+    # exact, so the other direction does not run
     items = ",".join(map(str, range(40)))
     s1, s2 = build_sccs(normalize_program(parse_program(f"big([{items}]).\nbig2([{items}]).\n")))
     (segment,) = s1.segmented[0].segments
@@ -655,6 +697,7 @@ def test_greedy_tries_one_image_per_variable_on_duplicate_lists(monkeypatch):
     monkeypatch.setattr(_WeightRows, "bind", counted)
     result = closeness(s1, s2)
     assert result.sigma == result.denominators[0] == result.denominators[1] == 406
-    # per direction and variable, one trial binding and the final one
+    assert not result.approximate
+    # per variable, one trial binding and the final one
     assert len(var_names(segment)) == 81
-    assert len(binds) == 2 * 2 * 81
+    assert len(binds) == 2 * 81

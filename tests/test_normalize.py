@@ -32,6 +32,10 @@ def test_repeated_head_variable_emits_equality():
     assert norm("p(X, X).") == "p(A,B) :- B = A."
 
 
+def test_head_variable_first_met_inside_a_compound_binds_its_parameter():
+    assert norm("p(f(X), X, X).") == "p(A,B,C) :- A = f(B), C = B."
+
+
 def test_nested_term_flattens_preorder():
     got = norm("p(f(g(a))).")
     assert got == "p(A) :- A = f(V1), V1 = g(V2), V2 = a."
@@ -147,11 +151,27 @@ _calls = st.lists(_pool_vars, max_size=3).map(
 
 
 @settings(max_examples=1000, deadline=None)
-@given(st.lists(st.one_of(_var_eqs, _bindings, _calls), max_size=10),
+@given(st.lists(st.one_of(_var_eqs, _bindings, _calls), max_size=16),
        st.sets(st.sampled_from(_POOL)))
 def test_one_pass_elimination_equals_the_rescanning_pass(body, head_params):
     got = normalize._eliminate_var_unifications(body, head_params)
     assert got == _reference_eliminate_var_unifications(body, head_params)
+
+
+def test_var_unification_chain_reads_each_atom_once(monkeypatch):
+    # the would-duplicate test reads an index of the `=` atoms by
+    # variable, built with one var_names call per atom
+    calls = []
+    names = normalize.var_names
+
+    def counted(entity):
+        calls.append(entity)
+        return names(entity)
+
+    monkeypatch.setattr(normalize, "var_names", counted)
+    chain = ", ".join(f"X{i} = X{i + 1}" for i in range(2000))
+    assert norm(f"p(X0) :- {chain}, q(X2000).") == "p(A) :- q(A)."
+    assert len(calls) == 1 + 2000  # the clause's names, then each atom's
 
 
 def test_var_unification_kept_when_another_binding_holds_both_sides():

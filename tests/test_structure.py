@@ -15,10 +15,10 @@ from logdup import (
     total_nodes, validate_witness,
 )
 from logdup import mutate_duplicate, structure
-from logdup.depgraph import build_sccs, goal_shape, scc_of
+from logdup.depgraph import build_sccs, scc_of
 from logdup.metrics import anti_unify
 from logdup.oracle import find_structure_witnesses
-from logdup.syntax import Num, Struct, align, parse_goal, rename_vars
+from logdup.syntax import Num, Struct, align, parse_goal, rename_vars, shape
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL, scc_named
 from tests.test_acceptance import FIXTURE, FIXTURE_PREDS, _scale_corpus
 
@@ -344,8 +344,8 @@ def _reference_common_core(s1: SCC, s2: SCC, result: SimilarityResult) -> tuple:
     if result.approximate:
         raise ValueError("refusing to extract a common core from an approximate result")
     w = result.witness
-    pred_map = w.clause_mapping.pred_dict
-    perms = w.perm_dict
+    pred_map = dict(w.clause_mapping.pred_map)
+    perms = dict(w.arg_permutations)
     fresh = {pred_map[q]: PredSymbol(f"core_{q.name}_{pred_map[q].name}", q.arity)
              for q in s1.members}
 
@@ -385,7 +385,7 @@ def _assert_witnesses_make_calls_identical(s1, s2):
     count = 0
     for w in find_structure_witnesses(s1, s2):
         count += 1
-        pred_map, perms = w.clause_mapping.pred_dict, w.perm_dict
+        pred_map, perms = dict(w.clause_mapping.pred_map), dict(w.arg_permutations)
         sigma = 0
         alignments = []
         for (i, j), rho in zip(w.clause_mapping.pairs, w.renamings):
@@ -535,9 +535,9 @@ def _reference_witness_combos(s1: SCC, s2: SCC, arity_limit: int):
     indices and those of its image in s2; ``rhos`` maps each compatible
     clause pair (i, j) to its variable renaming.  ``approximate`` is set
     when argument permutations were skipped beyond the arity limit."""
-    lefts = [[i for i, c in enumerate(s1.clauses) if c.head.pred == q] for q in s1.members]
+    lefts = [tuple(i for i, c in enumerate(s1.clauses) if c.head.pred == q) for q in s1.members]
     for pred_map in _pred_bijections(s1, s2):
-        groups = [(left, [j for j, c in enumerate(s2.clauses) if c.head.pred == pred_map[q]])
+        groups = [(left, tuple(j for j, c in enumerate(s2.clauses) if c.head.pred == pred_map[q]))
                   for q, left in zip(s1.members, lefts)]
         for perms, approximate in _perm_combos(s1.members, arity_limit):
             rhos = {}
@@ -680,7 +680,7 @@ def test_witness_cap_counts_dead_combinations(cap_offset):
 # renaming of functors (per arity) and numerals.
 
 def _pair_key_of(left: str, right: str) -> tuple:
-    return structure._pair_key(goal_shape(parse_goal(left)), goal_shape(parse_goal(right)))
+    return structure._pair_key(shape(parse_goal(left)), shape(parse_goal(right)))
 
 
 @pytest.mark.parametrize("pair, other", [
@@ -706,8 +706,8 @@ def test_pair_key_ignores_constant_names_only():
 
 def test_goal_shape_walks_deep_terms():
     goal = parse_goal("Y is X" + "+1" * 3000)
-    shape, constants = goal_shape(goal)
-    assert len(shape) == 3 + 2 * 3000  # is/2, Y, X and 3,000 times + and 1
+    names, constants = shape(goal)
+    assert len(names) == 3 + 2 * 3000  # is/2, Y, X and 3,000 times + and 1
     assert constants.count(("+", 2)) == constants.count((int, 1)) == 3000
 
 
@@ -735,7 +735,7 @@ _key_goals = st.lists(
 
 
 def _constants(goal: Goal) -> set:
-    return set(goal_shape(goal)[1])
+    return set(shape(goal)[1])
 
 
 @given(_key_goals, _key_goals, st.randoms(use_true_random=False))
@@ -756,8 +756,8 @@ def test_goal_similarity_ignores_a_joint_renaming_of_constants(q1, q2, rng):
                                              for t in a.args)) for a in goal.atoms))
 
     r1, r2 = renamed(q1), renamed(q2)
-    assert structure._pair_key(goal_shape(q1), goal_shape(q2)) \
-        == structure._pair_key(goal_shape(r1), goal_shape(r2))
+    assert structure._pair_key(shape(q1), shape(q2)) \
+        == structure._pair_key(shape(r1), shape(r2))
     for limits in (Limits(), Limits(exact_vars=1, exact_group=1)):
         assert goal_similarity(r1, r2, limits) == goal_similarity(q1, q2, limits)
 

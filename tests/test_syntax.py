@@ -141,7 +141,7 @@ def test_syntax_error_carries_location():
 
 def test_long_body_parses():
     program = parse_program("p(X) :- " + ", ".join(["q(X)"] * 5000) + ".")
-    (clause,) = program.all_clauses()
+    ((clause,),) = program.predicates.values()
     assert len(clause.body.atoms) == 5000
 
 
@@ -174,7 +174,8 @@ CLAUSE_LINES = [
 def test_clause_origin_records_line():
     for text, lines in CLAUSE_LINES:
         program = parse_program(text, filename="f.pl")
-        assert [c.origin for c in program.all_clauses()] == [("f.pl", n) for n in lines], text
+        origins = [c.origin for clauses in program.predicates.values() for c in clauses]
+        assert origins == [("f.pl", n) for n in lines], text
 
 
 @pytest.mark.parametrize("text, tokens", [
