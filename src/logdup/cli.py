@@ -128,8 +128,9 @@ def analyze(program: Program, config: Config) -> list:
         program = normalize_program(program)
     candidates = candidate_pairs(program, config.fp_threshold)
     entries = []
+    memo: dict = {}  # the segment-pair searches of the run, shared by every pair
     for left, right, estimate in candidates:
-        result = closeness(left, right, config.limits)
+        result = closeness(left, right, config.limits, memo)
         if result is None or min(result.closeness) < config.threshold:
             continue
         core = None

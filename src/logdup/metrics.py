@@ -260,10 +260,19 @@ class _WeightRows:
     before any ``bind`` it is the root bound.  ``bind(x, y)`` takes off the
     pairs (x, y') with y' != y and solves again only the groups that
     changed; ``unbind`` undoes the latest binding from its undo record.
+
+    The branch-and-bound reaches one weight table of a group under many
+    renamings, so the optimum of a table of 3 to ``limits.exact_group``
+    rows is kept for the life of the search, keyed by the table.  Larger
+    tables occur only in the greedy search, over groups of up to
+    thousands of atoms, and are solved each time rather than copied into
+    a key.
     """
 
-    def __init__(self, q1: Goal, q2: Goal, groups: list):
+    def __init__(self, q1: Goal, q2: Goal, groups: list, limits: Limits = Limits()):
         self.groups = groups
+        self._exact_group = limits.exact_group
+        self._optima: dict = {}  # weight table, as a tuple of rows -> its optimum
         self.weights = []
         self.rho: dict = {}
         self.used: set = set()
@@ -288,9 +297,20 @@ class _WeightRows:
             self.weights.append(weights)
             for x, entries in by_var.items():
                 self._cells.setdefault(x, []).append((g, entries))
-        self.optimum = [_group_optimum(w) for w in self.weights]
+        self.optimum = [self._optimum(w) for w in self.weights]
         self.total = sum(self.optimum)
         self._undo: list = []
+
+    def _optimum(self, weights) -> int:
+        """``_group_optimum`` of a table, through the memo of the search
+        when the table has 3 to ``exact_group`` rows."""
+        if not 3 <= len(weights) <= self._exact_group:
+            return _group_optimum(weights)
+        key = tuple(map(tuple, weights))
+        optimum = self._optima.get(key)
+        if optimum is None:
+            optimum = self._optima[key] = _group_optimum(weights)
+        return optimum
 
     def bind(self, x: str, y: str) -> None:
         changed, solved = [], []
@@ -304,7 +324,7 @@ class _WeightRows:
                     hit = True
             if hit:
                 solved.append((g, self.optimum[g]))
-                optimum = _group_optimum(self.weights[g])
+                optimum = self._optimum(self.weights[g])
                 self.total += optimum - self.optimum[g]
                 self.optimum[g] = optimum
         self.rho[x] = y
@@ -349,7 +369,7 @@ def _directed_commonality(q1: Goal, q2: Goal, groups: list, v1: list, v2: list,
     which the transposed search from q2 shares.
     """
     base = sum(len(left) for left, _ in groups) - 1
-    rows = _WeightRows(q1, q2, groups)
+    rows = _WeightRows(q1, q2, groups, limits)
 
     if not (len(v1) <= limits.exact_vars
             and max(len(left) for left, _ in groups) <= limits.exact_group):

@@ -215,7 +215,8 @@ def _clause_pair_score(lseg: ClauseSegments, rseg: ClauseSegments, limits: Limit
     witness, with the segment alignments that realize it and whether any
     of them is approximate.
 
-    ``memo`` maps the ``_pair_key`` of a segment pair to its alignment.
+    ``memo`` maps the ``_pair_key`` of a segment pair to its alignment
+    under ``limits``.
     ``goal_similarity`` sees constants only through equality, predicates
     through equality and order, variables by name and atoms by index, all
     of which the key keeps, so pairs with one key have one alignment.
@@ -255,9 +256,15 @@ def self_similarity(s: SCC) -> int:
     return sum(seg.matched_nodes + seg.segment_nodes for seg in s.segmented)
 
 
-def closeness(s1: SCC, s2: SCC, limits: Limits = Limits()) -> Optional[SimilarityResult]:
+def closeness(s1: SCC, s2: SCC, limits: Limits = Limits(),
+              memo: Optional[dict] = None) -> Optional[SimilarityResult]:
     """Closeness gamma: sigma maximized over witnesses, divided by each
     side's self-similarity.  None when no structure witness exists.
+
+    ``memo`` lets the calls of one run share their segment-pair searches:
+    it maps each ``Limits`` to the alignments found under it, by
+    ``_pair_key``, so a call never reads a search made under other limits.
+    Left as None, the searches are shared within this call only.
 
     Instead of enumerating clause bijections one by one, each (predicate
     bijection, argument permutation) combination is scored with a
@@ -270,7 +277,8 @@ def closeness(s1: SCC, s2: SCC, limits: Limits = Limits()) -> Optional[Similarit
     # every combination skips the same permutations
     approximate = any(q.arity > max(limits.arity, 1) for q in s1.members)
     scores: dict = {}  # (i, j) -> _clause_pair_score of that clause pair
-    memo: dict = {}  # _pair_key -> alignment of a segment pair
+    # _pair_key -> alignment of a segment pair, under these limits
+    memo = {} if memo is None else memo.setdefault(limits, {})
     for count, (pred_map, perms, groups, rhos) in enumerate(
             _witness_combos(s1, s2, limits.arity)):
         if count == limits.witness_cap:

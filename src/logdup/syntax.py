@@ -60,7 +60,9 @@ class Num:
 
 @dataclass(frozen=True)
 class Struct:
-    """Compound term; constants are 0-ary structs."""
+    """Compound term; constants are 0-ary structs.  Equality and hashing
+    go through ``shape``, which walks without recursion, so terms of any
+    depth compare and hash."""
 
     functor: str
     args: tuple = ()
@@ -68,6 +70,12 @@ class Struct:
     def __post_init__(self):
         if not self.functor:
             raise ValueError("functor names must be non-empty")
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Struct) and shape(self) == shape(other))
+
+    def __hash__(self):
+        return hash(shape(self))
 
     def __repr__(self):
         return render_term(self)
@@ -89,12 +97,21 @@ class PredSymbol:
 
 @dataclass(frozen=True)
 class Atom:
+    """A predicate applied to its arguments; equality and hashing go
+    through ``shape``, as for ``Struct``."""
+
     pred: PredSymbol
     args: tuple = ()
 
     def __post_init__(self):
         if len(self.args) != self.pred.arity:
             raise ValueError(f"arity mismatch for {self.pred}: got {len(self.args)} args")
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Atom) and shape(self) == shape(other))
+
+    def __hash__(self):
+        return hash(shape(self))
 
     def __repr__(self):
         return render_atom(self)

@@ -5,11 +5,14 @@ import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from logdup import Limits, closeness, parse_clause, render_clause
-from logdup import cli
+from logdup import (Atom, Limits, PredSymbol, Struct, build_sccs, closeness, parse_clause,
+                    parse_program, render_clause, scc_of)
+from logdup import cli, structure
 from logdup.cli import Config, build_arg_parser, main, run
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL
 
@@ -395,10 +398,12 @@ def test_each_limit_flag_reaches_its_layer(tmp_path, capsys, monkeypatch, name):
         path = write(tmp_path, "dup.pl", APPEND + APP)
         header = "duplicate: [app/3] ~ [append/3]\n  closeness: (1.000, 1.000)"
     seen = []
+    memos = []
 
-    def recorded(left, right, limits):
+    def recorded(left, right, limits, memo):
         seen.append(limits)
-        return closeness(left, right, limits)
+        memos.append(memo)
+        return closeness(left, right, limits, memo)
 
     monkeypatch.setattr(cli, "closeness", recorded)
     for extra, limits in (([], Limits()), ([LIMIT_FLAGS[name], "1"], replace(Limits(), **{name: 1}))):
@@ -411,7 +416,101 @@ def test_each_limit_flag_reaches_its_layer(tmp_path, capsys, monkeypatch, name):
         assert out.startswith(header)
         assert ("note: search was truncated; values are a lower bound" in out) is approximate
         assert seen == [limits, limits]
+        # each run searched under its own limits, into a memo of its own
+        assert [list(m) for m in memos] == [[limits], [limits]]
+        assert memos[0] is not memos[1]
         seen.clear()
+        memos.clear()
+
+
+def _fresh_memo_closeness(left, right, limits, memo):
+    """``closeness`` as the library runs it alone: one memo per call."""
+    return structure.closeness(left, right, limits)
+
+
+def test_one_memo_serves_every_pair_of_a_run(tmp_path, monkeypatch):
+    # app, append and concat normalize to one segment shape, searched
+    # once for the run instead of once per pair
+    path = write(tmp_path, "corpus.pl", CORPUS + REPEATED + APP)
+    config = Config(paths=[path], threshold=Fraction(0), fp_threshold=Fraction(0))
+    memos = []
+    searches = []
+    goal_similarity = structure.goal_similarity
+
+    def recorded(left, right, limits, memo):
+        memos.append(memo)
+        return closeness(left, right, limits, memo)
+
+    def counted(q1, q2, limits):
+        searches.append((q1, q2))
+        return goal_similarity(q1, q2, limits)
+
+    monkeypatch.setattr(structure, "goal_similarity", counted)
+    monkeypatch.setattr(cli, "closeness", _fresh_memo_closeness)
+    expected = run(config)
+    per_pair = len(searches)
+    searches.clear()
+    monkeypatch.setattr(cli, "closeness", recorded)
+    assert run(config) == expected
+    code, report = expected
+    assert code == 0 and len(report["pairs"]) > 2
+    assert len(memos) > 2 and all(memo is memos[0] for memo in memos)
+    assert list(memos[0]) == [Limits()]
+    assert len(searches) < per_pair
+
+
+def _shared_shape_program(rng, preds: int) -> str:
+    """Predicates of one or two clauses over a few body shapes, so that
+    segment pairs of one key recur across SCC pairs."""
+    text = []
+    for k in range(preds):
+        for _ in range(rng.choice([1, 1, 2])):
+            c = [rng.choice(["a", "b"]) for _ in range(3)]
+            atoms = [f"r(X,{c[0]})", f"r(Y,{c[1]})", "r(X,Z)", f"s(Z,{c[2]})"][:rng.randint(3, 4)]
+            if rng.random() < 0.2:
+                atoms.insert(rng.randint(0, len(atoms)), f"p{k}(Y,X)")
+            text.append(f"p{k}(X,Y) :- {', '.join(atoms)}.")
+    return "\n".join(text)
+
+
+@given(st.integers(3, 6), st.randoms(use_true_random=False),
+       st.sampled_from([Limits(), Limits(exact_vars=2, exact_group=1)]), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_run_memo_gives_the_entries_of_a_fresh_memo_per_pair(preds, rng, limits, normalize):
+    program = parse_program(_shared_shape_program(rng, preds))
+    config = Config(threshold=Fraction(0), fp_threshold=Fraction(0), limits=limits,
+                    normalize=normalize, emit_common_core=True)
+    entries = cli.analyze(program, config)
+    with mock.patch.object(cli, "closeness", _fresh_memo_closeness):
+        assert cli.analyze(program, config) == entries
+
+
+def test_a_memo_shared_across_limits_keeps_each_limits_own_result(tmp_path):
+    program = parse_program(REPEATED)
+    rep_a, rep_b = (scc_of(build_sccs(program), PredSymbol(name, 1))
+                    for name in ("rep_a", "rep_b"))
+    exact, greedy = Limits(), Limits(exact_vars=1)
+    for order in ((exact, greedy), (greedy, exact)):
+        memo: dict = {}
+        results = {limits: closeness(rep_a, rep_b, limits, memo) for limits in order}
+        for limits, result in results.items():
+            assert result == closeness(rep_a, rep_b, limits)
+        assert not results[exact].approximate and results[greedy].approximate
+        assert set(memo) == {exact, greedy} and all(memo.values())
+
+
+def test_pipeline_hashes_no_term(tmp_path, monkeypatch):
+    # a term hashes in time linear in its size, so a pipeline step keyed
+    # by terms would be slow on large ones; every key is a shape or an index
+    def refused(term):
+        raise AssertionError(f"{type(term).__name__} hashed")
+
+    path = write(tmp_path, "corpus.pl", CORPUS + REPEATED + APP)
+    for cls in (Struct, Atom):
+        monkeypatch.setattr(cls, "__hash__", refused)
+    for normalize in (True, False):
+        code, report = run(Config(paths=[path], normalize=normalize, emit_common_core=True))
+        assert code == 0 and report["pairs"]
 
 
 def test_main_restores_the_cyclic_collector(tmp_path, capsys):

@@ -701,3 +701,72 @@ def test_greedy_tries_one_image_per_variable_on_duplicate_lists(monkeypatch):
     # per variable, one trial binding and the final one
     assert len(var_names(segment)) == 81
     assert len(binds) == 2 * 81
+
+
+def _brute_optimum(weights) -> int:
+    return max(sum(row[c] for row, c in zip(weights, perm))
+               for perm in itertools.permutations(range(len(weights))))
+
+
+@given(st.lists(st.sampled_from([("p", 2), ("q", 1)]), min_size=3, max_size=8),
+       st.integers(1, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_weight_rows_solve_each_table_once_per_search(shape, exact_group, data):
+    n_args = sum(arity for _, arity in shape)
+    g1 = _goal_for(shape, data.draw(st.lists(_terms(1), min_size=n_args, max_size=n_args)))
+    g2 = _goal_for(data.draw(st.permutations(shape)),
+                   data.draw(st.lists(_terms(1), min_size=n_args, max_size=n_args)))
+    groups = _similar_groups(g1, g2)
+    keyed = lambda weights: 3 <= len(weights) <= exact_group  # noqa: E731
+    solves = []
+
+    def counted(weights):
+        solves.append(keyed(weights))
+        return max_weight_matching(weights)
+
+    v1, v2 = var_names(g1), var_names(g2) or ["Y"]
+    seen = set()  # every keyed table the search has held
+    depth = 0
+
+    def check():
+        for weights, optimum in zip(rows.weights, rows.optimum):
+            assert optimum == _brute_optimum(weights)
+            if keyed(weights):
+                seen.add(tuple(map(tuple, weights)))
+        assert rows.total == sum(rows.optimum)
+        # each keyed table was solved once, the first time it was held
+        assert solves.count(True) == len(seen)
+        assert all(keyed(key) for key in rows._optima)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "max_weight_matching", counted)
+        rows = _WeightRows(g1, g2, groups, Limits(exact_group=exact_group))
+        check()
+        for _ in range(data.draw(st.integers(0, 12))):
+            free = [x for x in v1 if x not in rows.rho]
+            if free and (not depth or data.draw(st.booleans())):
+                rows.bind(data.draw(st.sampled_from(free)), data.draw(st.sampled_from(v2)))
+                depth += 1
+            elif depth:
+                rows.unbind()
+                depth -= 1
+            check()
+
+
+def test_greedy_search_keeps_no_table_above_the_exact_group_limit(monkeypatch):
+    # each fact normalizes to one group of 81 `=` atoms, searched greedily
+    # and never keyed
+    items = ",".join(map(str, range(40)))
+    s1, s2 = build_sccs(normalize_program(parse_program(f"big([{items}]).\nbig2([{items}]).\n")))
+    searches = []
+
+    class Recorded(_WeightRows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(metrics, "_WeightRows", Recorded)
+    limits = Limits()
+    assert not closeness(s1, s2, limits).approximate
+    assert max(len(left) for rows in searches for left, _ in rows.groups) == 81
+    assert all(len(key) <= limits.exact_group for rows in searches for key in rows._optima)

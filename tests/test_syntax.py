@@ -231,6 +231,35 @@ def test_rename_vars_walks_deep_terms():
     assert (depth, renamed) == (5_000, Var("Y"))
 
 
+@pytest.mark.parametrize("source, changed", [
+    # a 5,000-element list, and a 3,000-deep left-nested `is` expression
+    ("p([" + ",".join(map(str, range(5000))) + "]).",
+     "p([" + ",".join(map(str, range(4999))) + ",x])."),
+    ("p(X,Y) :- Y is X" + "+1" * 3000 + ".", "p(X,Y) :- Y is X" + "+1" * 2999 + "+2."),
+])
+def test_deep_terms_compare_and_hash_without_recursion(source, changed):
+    a, b, c = parse_clause(source), parse_clause(source), parse_clause(changed)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    for x, y in ((a.head, b.head), (a.body, b.body), (a.head.args[-1], b.head.args[-1])):
+        assert x == y and hash(x) == hash(y)
+    if a.body.atoms:
+        assert a.body.atoms[0].args[1] != c.body.atoms[0].args[1]
+    assert len({a, b, c}) == 2
+
+
+def test_term_equality_keeps_kinds_and_numeral_types_apart():
+    f = Struct("f", (Var("X"), Num(1)))
+    assert f == Struct("f", (Var("X"), Num(1))) != Struct("f", (Var("X"), Num(1.0)))
+    assert f != Struct("f", (Var("Y"), Num(1))) and f != Struct("g", (Var("X"), Num(1)))
+    assert Struct("a") != Var("a") and Struct("a") != Num(1)
+    atom = Atom(PredSymbol("f", 2), f.args)
+    assert atom != f and atom == Atom(PredSymbol("f", 2), (Var("X"), Num(1)))
+    assert atom != Atom(PredSymbol("g", 2), f.args)
+    assert hash(f) == hash(Struct("f", (Var("X"), Num(1))))
+
+
 def test_var_names_first_occurrence_order():
     clause = parse_clause("p(B, A) :- q(A, C).")
     assert list(var_names(clause)) == ["B", "A", "C"]
