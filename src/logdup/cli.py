@@ -61,9 +61,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Detect duplicated and similar predicate definitions "
                     "in definite logic programs.")
     parser.add_argument("paths", nargs="*", help="Prolog source files")
-    parser.add_argument("--threshold", type=_fraction_arg, default=Fraction(1, 2),
+    config = Config()
+    parser.add_argument("--threshold", type=_fraction_arg, default=config.threshold,
                         help="minimum closeness component to report (default 0.5)")
-    parser.add_argument("--fp-threshold", type=_fraction_arg, default=Fraction(1, 2),
+    parser.add_argument("--fp-threshold", type=_fraction_arg, default=config.fp_threshold,
                         help="minimum fingerprint estimate to compare exactly (default 0.5)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--no-normalize", action="store_true",

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .syntax import Atom, Clause, Goal, PredSymbol, Program, is_builtin, node_counts, shape
+from .syntax import BUILTIN_PREDS, Atom, Clause, Goal, PredSymbol, Program, node_counts, shape
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def build_sccs(program: Program) -> tuple:
     defined_set = set(defined)
     succs = {pred: sorted({atom.pred for clause in program.predicates[pred]
                            for atom in clause.body.atoms
-                           if atom.pred in defined_set and not is_builtin(atom.pred)})
+                           if atom.pred in defined_set and atom.pred not in BUILTIN_PREDS})
              for pred in defined}
 
     index: dict = {}

@@ -135,8 +135,8 @@ def _count_symbols(goal: Goal) -> GoalPrint:
     without normalization keep compound call arguments."""
     counts: dict = {}
     for atom in goal.atoms:
-        key = (atom.pred.name, atom.pred.arity)
-        counts[key] = counts.get(key, 0) + 1
+        # a symbol is its (name, arity) pair, as a functor's key is
+        counts[atom.pred] = counts.get(atom.pred, 0) + 1
         for arg in atom.args:
             if isinstance(arg, Struct):
                 _count_functors(arg, counts)
@@ -241,7 +241,7 @@ def _shape_signature(scc: SCC):
     return tuple(sorted(per_pred))
 
 
-def candidate_pairs(program: Program, threshold=Fraction(1, 2)) -> tuple:
+def candidate_pairs(program: Program, threshold) -> tuple:
     """Cheap pre-filter over a whole program, taken as given (normalize
     it first for the paper's prints).
 

@@ -174,7 +174,7 @@ def normalize_clause(clause: Clause) -> Clause:
                 tv = Var(next(nz.temps))
                 nz.flatten(tv, lhs)
                 nz.flatten(tv, rhs)
-        elif (pred.name, pred.arity) in ARITH_BUILTINS:
+        elif pred in ARITH_BUILTINS:
             nz.body.append(rename_vars(atom, nz.binder))
         else:
             call_args = []
@@ -212,6 +212,6 @@ def is_normal_atom(atom: Atom) -> bool:
         # a binding's arguments are variables, distinct from each other and lhs
         names = [lhs.name] + [a.name for a in rhs.args if isinstance(a, Var)]
         return len(names) == len(rhs.args) + 1 == len(set(names))
-    if (atom.pred.name, atom.pred.arity) in ARITH_BUILTINS:
+    if atom.pred in ARITH_BUILTINS:
         return True
     return all(isinstance(a, Var) for a in atom.args)

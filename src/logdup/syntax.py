@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class PrologSyntaxError(Exception):
@@ -81,9 +81,11 @@ class Struct:
         return render_term(self)
 
 
-@dataclass(frozen=True, order=True)
-class PredSymbol:
-    """A predicate name and arity; predicates sort by name, then arity."""
+class PredSymbol(NamedTuple):
+    """A predicate name and arity, which is the pair ``(name, arity)``: it
+    equals, hashes and sorts (by name, then arity) like that tuple.  No
+    other tuple sits next to symbols but in the print symbol maps, where a
+    functor of one name and arity is meant to be the same key."""
 
     name: str
     arity: int
@@ -91,8 +93,7 @@ class PredSymbol:
     def __str__(self):
         return f"{self.name}/{self.arity}"
 
-    def __repr__(self):
-        return str(self)
+    __repr__ = __str__
 
 
 @dataclass(frozen=True)
@@ -158,15 +159,10 @@ EQ = PredSymbol("=", 2)
 
 # Arithmetic builtins keep their compound arguments un-flattened during
 # normalization and are never dependency-graph nodes.
-ARITH_BUILTINS = frozenset({
-    ("is", 2), ("<", 2), (">", 2), ("=<", 2), (">=", 2), ("=:=", 2), ("=\\=", 2),
-})
+ARITH_BUILTINS = frozenset(
+    PredSymbol(op, 2) for op in ("is", "<", ">", "=<", ">=", "=:=", "=\\="))
 
-BUILTIN_PREDS = frozenset({("=", 2)}) | ARITH_BUILTINS
-
-
-def is_builtin(pred: PredSymbol) -> bool:
-    return (pred.name, pred.arity) in BUILTIN_PREDS
+BUILTIN_PREDS = ARITH_BUILTINS | {EQ}
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +171,19 @@ def is_builtin(pred: PredSymbol) -> bool:
 
 # One match per token: the layout and comments before it are skipped
 # inside the match, and a '.' followed by layout, a comment or the end of
-# the text is a clause end.  ``eof`` matches only after the last token and
-# ``bad`` takes any other character, so the layout prefix never backtracks.
+# the text is a clause end.  ``eof`` matches only after the last token,
+# ``unclosed`` at a '/*' without '*/' and ``bad`` at any other character,
+# so the layout prefix never backtracks.  ``1e5`` lacks a float's fraction.
 _TOKEN_RE = re.compile(
     r"""
-    (?:\s|%[^\n]*)*
+    (?:\s|%[^\n]*|/\*[\s\S]*?\*/)*
     (?:
-      (?P<end>\.(?=\s|%|\Z))
-    | (?P<num>\d+(?:\.\d+)?)
+      (?P<end>\.(?=\s|%|/\*|\Z))
+    | (?P<num>\d+(?:\.\d+(?:[eE][+-]?\d+)?)?)
     | (?P<name>[a-z]\w*)
     | (?P<var>[_A-Z]\w*)
     | (?P<quoted>'(?:[^']|'')*')
+    | (?P<unclosed>/\*)
     | (?P<punct>:-|=:=|=\\=|=<|>=|->|\\\+|[()\[\]|,;!=<>+\-*/.])
     | (?P<eof>\Z)
     | (?P<bad>\S)
@@ -226,10 +224,11 @@ def _tokenize(text: str, filename: str) -> list:
         elif kind == "eof":
             tokens.append(["eof", "", tokens[-1][2] if tokens else 0])
             break
-        elif kind == "bad":
+        elif kind == "unclosed" or kind == "bad":
             offset = m.start(kind)
-            raise PrologSyntaxError(
-                f"unexpected character {text[offset]!r}", *_location(text, offset), filename)
+            message = ("unterminated block comment" if kind == "unclosed"
+                       else f"unexpected character {text[offset]!r}")
+            raise PrologSyntaxError(message, *_location(text, offset), filename)
         else:
             tokens.append([kind, m.group(kind), m.start(kind)])
     return tokens
@@ -348,10 +347,8 @@ class _Parser:
                 arg = self.parse_term(900)
                 return Struct("\\+", (arg,))
             if value == "-":
-                nxt = self.tokens[self.pos]
-                if nxt[0] == "num":
-                    self.pos += 1
-                    return Num(-(float(nxt[1]) if "." in nxt[1] else int(nxt[1])))
+                if self.tokens[self.pos][0] == "num":
+                    return Num(-self._primary().value)
                 arg = self.parse_term(200)
                 return Struct("-", (arg,))
         self._error(f"unexpected token {value!r}", tok)

@@ -375,6 +375,40 @@ def test_limit_flags_default_to_limits():
         == asdict(Limits())
 
 
+def test_block_comments_and_exponent_floats_reach_the_core(tmp_path, capsys):
+    path = write(tmp_path, "bc.pl", "/* header */\np(X) :- X = 1.5e20. /* c */\n"
+                                    "q(X) :- X = 0.15e21./* c\n */\n")
+    assert main([path, "--emit-common-core"]) == 0
+    out = capsys.readouterr().out
+    assert "duplicate: [p/1] ~ [q/1]" in out
+    (core,) = [line.strip() for line in out.splitlines() if "150000000000000000000.0" in line]
+    assert parse_clause(core).body == parse_clause("p(A) :- A = 1.5e20.").body
+
+
+def test_threshold_flags_default_to_config():
+    args = build_arg_parser().parse_args([])
+    config = Config()
+    assert (args.threshold, args.fp_threshold) == (config.threshold, config.fp_threshold)
+
+
+def test_report_writes_every_predicate_as_a_string(tmp_path):
+    # a symbol is a tuple, which json.dumps would write as a list
+    path = write(tmp_path, "all.pl", CORPUS)
+    code, report = run(Config(paths=[path], threshold=Fraction(0), fp_threshold=Fraction(0),
+                              emit_common_core=True))
+    assert code == 0 and len(report["pairs"]) > 1
+    stack = [report]
+    while stack:
+        value = stack.pop()
+        assert not isinstance(value, tuple), value
+        stack.extend(value.values() if isinstance(value, dict)
+                     else value if isinstance(value, list) else ())
+    for entry in json.loads(json.dumps(report))["pairs"]:
+        preds = (entry["left"]["predicates"] + entry["right"]["predicates"]
+                 + list(entry["witness"]["arg_permutations"]))
+        assert all(isinstance(p, str) and "/" in p for p in preds), preds
+
+
 # No renaming of the two variables of rep_a's segment reaches its root
 # bound (Y pairs with both Y and Z), so the greedy search leaves the pair
 # approximate.

@@ -5,7 +5,7 @@ from logdup import (
     SCC, Atom, Clause, Goal, Num, PredSymbol, Program, Var, build_sccs,
     parse_program, scc_of, segment_clause,
 )
-from logdup.syntax import EQ, is_builtin
+from logdup.syntax import BUILTIN_PREDS, EQ
 
 
 def test_single_recursive_predicate_is_own_scc():
@@ -24,6 +24,16 @@ def test_mutual_recursion_grouped():
     sccs = build_sccs(parse_program(source))
     members = {scc.members for scc in sccs}
     assert (PredSymbol("even", 1), PredSymbol("odd", 1)) in members
+
+
+def test_scc_members_sort_by_name_then_arity():
+    # a cycle through a/2 -> a/10 -> ab/1 -> b/0 -> a/2
+    args = lambda n: "(" + ",".join(["_"] * n) + ")"
+    source = f"a{args(2)} :- a{args(10)}.\na{args(10)} :- ab(_).\nab(_) :- b.\nb :- a{args(2)}.\n"
+    (scc,) = build_sccs(parse_program(source))
+    assert scc.members == (PredSymbol("a", 2), PredSymbol("a", 10),
+                           PredSymbol("ab", 1), PredSymbol("b", 0))
+    assert scc.name() == "[a/2,a/10,ab/1,b/0]"
 
 
 def test_reverse_topological_order():
@@ -127,7 +137,7 @@ def _reference_build_sccs(program: Program) -> tuple:
         targets = set()
         for clause in program.predicates[pred]:
             for atom in clause.body.atoms:
-                if atom.pred in defined_set and not is_builtin(atom.pred):
+                if atom.pred in defined_set and atom.pred not in BUILTIN_PREDS:
                     targets.add(atom.pred)
         succs[pred] = sorted(targets, key=_pred_sort_key)
 

@@ -7,7 +7,9 @@ from logdup import (
     render_term,
 )
 from logdup.metrics import nodes, var_occurrences
-from logdup.syntax import _tokenize, align, rename_vars, var_names
+from logdup.syntax import (
+    ARITH_BUILTINS, BUILTIN_PREDS, EQ, _tokenize, align, rename_vars, var_names,
+)
 
 
 def test_parse_fact():
@@ -86,6 +88,15 @@ def test_float_renders_positionally_and_parses_back(value):
     assert parse_term(text) == Num(value)
 
 
+def test_exponent_floats_parse_and_render_positionally():
+    clause = parse_clause("p(X) :- X = 0.5e3, Y is -2.5e+1 * 1.5e20, Y < 2.0E-2.")
+    assert clause.body.atoms[0].args[1] == Num(500.0)
+    assert parse_term("-2.5e+1") == Num(-25.0) and parse_term("1.5e3") == Num(1500.0)
+    text = render_clause(clause)
+    assert text == "p(X) :- X = 500.0, Y is -25.0*150000000000000000000.0, Y < 0.02."
+    assert parse_clause(text) == clause
+
+
 def test_float_without_exponent_renders_as_before():
     assert [render_term(Num(v)) for v in (0.1, 123.0, -0.0, 2.5)] == ["0.1", "123.0", "-0.0", "2.5"]
 
@@ -94,6 +105,30 @@ def test_pred_symbols_sort_by_name_then_arity():
     preds = [PredSymbol("b", 0), PredSymbol("a", 10), PredSymbol("ab", 1), PredSymbol("a", 2)]
     assert sorted(preds) == [PredSymbol("a", 2), PredSymbol("a", 10),
                              PredSymbol("ab", 1), PredSymbol("b", 0)]
+
+
+@given(st.text(min_size=1, max_size=6), st.integers(0, 20),
+       st.text(min_size=1, max_size=6), st.integers(0, 20))
+def test_pred_symbol_is_its_name_arity_pair(name, arity, other_name, other_arity):
+    p, q = PredSymbol(name, arity), PredSymbol(other_name, other_arity)
+    pair, other = (name, arity), (other_name, other_arity)
+    assert p == pair and pair == p and (p == other) == (pair == other)
+    assert hash(p) == hash(pair) and {pair: 1}.get(p) == 1
+    assert (p < q, p <= q, p > q) == (pair < other, pair <= other, pair > other)
+    assert sorted([q, p]) == sorted([other, pair])
+
+
+def test_pred_symbol_str_and_repr_are_name_slash_arity():
+    p = PredSymbol("append", 3)
+    assert (str(p), repr(p), repr([p])) == ("append/3", "append/3", "[append/3]")
+    assert (p.name, p.arity) == ("append", 3)
+
+
+def test_builtin_preds_are_equality_and_the_arithmetic_builtins():
+    goal = parse_goal("X = 1, Y is X, X < Y, X > Y, X =< Y, X >= Y, X =:= Y, X =\\= Y")
+    assert {a.pred for a in goal.atoms} == BUILTIN_PREDS == ARITH_BUILTINS | {EQ}
+    assert all(a.pred in BUILTIN_PREDS for a in goal.atoms)
+    assert EQ not in ARITH_BUILTINS and PredSymbol("is", 3) not in BUILTIN_PREDS
 
 
 def test_directive_skipped_with_warning():
@@ -128,6 +163,11 @@ SYNTAX_ERRORS = [
     # too deep for the recursive parser: reported at the clause's first token
     ("p(" + "f(" * 1000 + "a" + ")" * 1000 + ").", (1, 1), "term nested too deeply"),
     ("q(a).\n  p(" + "(" * 1000 + "a" + ")" * 1000 + ").", (2, 3), "term nested too deeply"),
+    # a block comment must be closed; a float must have its fraction
+    ("p(a).\n  /* open", (2, 3), "unterminated block comment"),
+    ("p(a) :- X = a /* b", (1, 15), "unterminated block comment"),
+    ("p./* c", (1, 3), "unterminated block comment"),
+    ("p(X) :- X = 1e5.", (1, 14), "expected '.', found 'e5'"),
 ]
 
 
@@ -168,6 +208,7 @@ CLAUSE_LINES = [
     ("\n\np(a).", [3]),
     ("p('a\nb').\nq(a).", [1, 3]),
     ("p(a).%c\nq(a).\tr(a).\r\ns(a).", [1, 2, 2, 3]),
+    ("/* header\n*/\np(a)./* c\n */q(a).", [3, 4]),
 ]
 
 
@@ -185,6 +226,14 @@ def test_clause_origin_records_line():
     ("a.b", [("name", "a", 0), ("punct", ".", 1), ("name", "b", 2)]),
     ("1.5. 1.", [("num", "1.5", 0), ("end", ".", 3), ("num", "1", 5), ("end", ".", 6)]),
     (" 'it''s' % c\n", [("name", "it's", 1)]),
+    # block comments are layout, also right after a clause end
+    ("/* a */p./* b\n% */q.", [("name", "p", 7), ("end", ".", 8), ("name", "q", 18),
+                                ("end", ".", 19)]),
+    ("a/ *b", [("name", "a", 0), ("punct", "/", 1), ("punct", "*", 3), ("name", "b", 4)]),
+    ("'/*'", [("name", "/*", 0)]),
+    # an exponent follows a fraction only
+    ("1.5e3 2.0E-2 2.5e+1", [("num", "1.5e3", 0), ("num", "2.0E-2", 6), ("num", "2.5e+1", 13)]),
+    ("1e5", [("num", "1", 0), ("name", "e5", 1)]),
 ])
 def test_tokens_carry_kind_value_and_offset(text, tokens):
     *found, eof = _tokenize(text, "t.pl")
