@@ -53,17 +53,10 @@ class ClausePrint:
     def total(self) -> int:
         return sum(p.total for p in self.prints)
 
-    def leq(self, other: "ClausePrint") -> bool:
-        return (len(self.prints) == len(other.prints)
-                and all(a.leq(b) for a, b in zip(self.prints, other.prints)))
-
     def glb(self, other: "ClausePrint") -> Optional["ClausePrint"]:
         if len(self.prints) != len(other.prints):
             return None
         return ClausePrint(tuple(a.glb(b) for a, b in zip(self.prints, other.prints)))
-
-    def render(self) -> str:
-        return "<" + ",".join(p.render() for p in self.prints) + ">"
 
 
 @dataclass(frozen=True)
@@ -73,9 +66,6 @@ class PredicatePrint:
     @property
     def total(self) -> int:
         return sum(p.total for p in self.prints)
-
-    def render(self) -> str:
-        return "{{" + ";".join(p.render() for p in self.prints) + "}}"
 
 
 @dataclass(frozen=True)
@@ -96,9 +86,6 @@ class SCCPrint:
     @property
     def total(self) -> int:
         return sum(self.symbols.values())
-
-    def render(self) -> str:
-        return "[" + "|".join(p.render() for p in self.prints) + "]"
 
 
 # ---------------------------------------------------------------------------

@@ -418,8 +418,21 @@ def _search(v1: list, v2: list, rows: _WeightRows, base: int, best: tuple) -> tu
     return best
 
 
-def _commonality(q1: Goal, q2: Goal, groups: list, limits: Limits) -> GoalAlignment:
-    """The commonality of the atoms of q1 and q2 that ``groups`` selects.
+def commonality(q1: Goal, q2: Goal, limits: Limits = Limits()) -> GoalAlignment:
+    """Commonality C (Definition 4) of two similarly structured goals,
+    with its witness; ``value`` is the figure.  Such goals are their own
+    maximal similarly structured subgoals, so this is their
+    ``goal_similarity``."""
+    if predicate_multiset(q1) != predicate_multiset(q2):
+        raise ValueError("commonality requires similarly structured goals")
+    return goal_similarity(q1, q2, limits)
+
+
+def goal_similarity(q1: Goal, q2: Goal, limits: Limits = Limits()) -> GoalAlignment:
+    """Similarity sigma (Definition 5): commonality of the maximal pair of
+    similarly structured subgoals, with its witness over the original
+    goals' atom indices; 0 with an empty witness when that pair is
+    empty.
 
     The renaming is searched from the side with fewer variables.  With
     equal counts an exact search runs from q1 only: a full renaming is
@@ -430,6 +443,7 @@ def _commonality(q1: Goal, q2: Goal, groups: list, limits: Limits) -> GoalAlignm
     reaches the root bound.  A search from q2 is turned around, so the
     witness maps q1 onto q2.
     """
+    groups = _similar_groups(q1, q2)
     if not groups:
         return GoalAlignment()
     v1 = sorted(var_names(Goal(tuple(q1.atoms[i] for left, _ in groups for i in left))))
@@ -445,19 +459,3 @@ def _commonality(q1: Goal, q2: Goal, groups: list, limits: Limits) -> GoalAlignm
     return GoalAlignment(tuple(sorted((y, x) for x, y in rev.renaming)),
                          tuple(sorted((i, j) for j, i in rev.atom_pairing)),
                          rev.value, rev.approximate)
-
-
-def commonality(q1: Goal, q2: Goal, limits: Limits = Limits()) -> GoalAlignment:
-    """Commonality C (Definition 4) of two similarly structured goals,
-    with its witness; ``value`` is the figure."""
-    if predicate_multiset(q1) != predicate_multiset(q2):
-        raise ValueError("commonality requires similarly structured goals")
-    return _commonality(q1, q2, _similar_groups(q1, q2), limits)
-
-
-def goal_similarity(q1: Goal, q2: Goal, limits: Limits = Limits()) -> GoalAlignment:
-    """Similarity sigma (Definition 5): commonality of the maximal pair of
-    similarly structured subgoals, with its witness over the original
-    goals' atom indices; 0 with an empty witness when that pair is
-    empty."""
-    return _commonality(q1, q2, _similar_groups(q1, q2), limits)

@@ -17,7 +17,7 @@ from .metrics import (
     Limits, anti_unify, goal_similarity, predicate_multiset, strict_commonality,
 )
 from .structure import ArgPermutation, _witness, _witness_combos
-from .syntax import Atom, Clause, Goal, PredSymbol, Var, align, rename_vars, var_names
+from .syntax import Atom, Clause, Goal, PredSymbol, align, rename_vars, var_names
 
 MAX_ORACLE_ATOMS = 5
 MAX_ORACLE_VARS = 5
@@ -36,11 +36,9 @@ def enumerate_renamings(q1: Goal, q2: Goal):
 def _directed_max(src: Goal, dst: Goal) -> int:
     """Maximum strict commonality over every injective renaming of src's
     variables into dst's and every permutation of dst's atoms."""
-    src_vars = var_names(src)
-    dst_vars = var_names(dst)
     best = 0
-    for image in itertools.permutations(dst_vars, len(src_vars)):
-        renamed = rename_vars(src, {v: Var(w) for v, w in zip(src_vars, image)})
+    for renaming in enumerate_renamings(src, dst):
+        renamed = rename_vars(src, renaming)
         for perm in itertools.permutations(dst.atoms):
             value = strict_commonality(renamed, Goal(perm))
             if value > best:
@@ -165,10 +163,7 @@ def _rename_clause_vars(clause: Clause, rng: random.Random):
     fresh = [f"MV{i + 1}" for i in range(len(names))]
     rng.shuffle(fresh)
     mapping = dict(zip(names, fresh))
-    renamed = Clause(rename_vars(clause.head, {k: Var(v) for k, v in mapping.items()}),
-                     rename_vars(clause.body, {k: Var(v) for k, v in mapping.items()}),
-                     clause.origin)
-    return renamed, mapping
+    return rename_vars(clause, mapping), mapping
 
 
 def mutate_duplicate(scc: SCC, seed: int) -> tuple:

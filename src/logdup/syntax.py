@@ -202,7 +202,7 @@ def _shown(tok) -> str:
     """A token as an error message quotes it.  A name that is not plain
     was written quoted and keeps its quotes: the atom ')' is not ')'."""
     value = tok[1]
-    if tok[0] == "name" and not _PLAIN_NAME_RE.match(value):
+    if tok[0] == "name" and not _PLAIN_NAME_RE.fullmatch(value):
         value = "'" + value.replace("'", "''") + "'"
     return repr(value)
 
@@ -511,12 +511,17 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
 # Rendering
 # ---------------------------------------------------------------------------
 
-_PLAIN_NAME_RE = re.compile(r"[a-z]\w*$")
+_PLAIN_NAME_RE = re.compile(r"[a-z]\w*")
 _SPACED_OPS = {"=", "is", "<", ">", "=<", ">=", "=:=", "=\\="}
 
 
-def _render_name(name: str) -> str:
-    if _PLAIN_NAME_RE.match(name) or name in ("[]", "!", ";", ",") or name in _INFIX_OPS:
+def _render_name(name: str, arity: int) -> str:
+    """A functor's name as the parser reads it back: bare when it is a
+    plain name, ``[]`` or ``!`` alone or the prefix ``-`` of ``-(X)``, and
+    quoted otherwise, so that a name the parser takes as punctuation or
+    an operator is read as that name."""
+    if (_PLAIN_NAME_RE.fullmatch(name) or (arity == 0 and name in ("[]", "!"))
+            or (arity == 1 and name == "-")):
         return name
     return "'" + name.replace("'", "''") + "'"
 
@@ -582,15 +587,16 @@ def render_term(term, maxprec: int = 1200) -> str:
                 parts += (op, right)
             text = "".join(parts)
             return f"({text})" if prec > maxprec else text
+        name = _render_name(term.functor, len(term.args))
         if not term.args:
-            return _render_name(term.functor)
+            return name
         args = ",".join(render_term(a, 999) for a in term.args)
-        return f"{_render_name(term.functor)}({args})"
+        return f"{name}({args})"
     raise TypeError(f"cannot render {term!r}")
 
 
 def render_atom(atom: Atom) -> str:
-    return render_term(Struct(atom.pred.name, atom.args) if atom.args else Struct(atom.pred.name))
+    return render_term(Struct(atom.pred.name, atom.args))
 
 
 def render_clause(clause: Clause) -> str:

@@ -252,6 +252,21 @@ def test_common_core_of_a_long_conjunction_term_parses_back(tmp_path):
     assert render_clause(parse_clause(core)) + "\n" == core
 
 
+@pytest.mark.parametrize("options, core", [
+    ([], "core_p_q(A,B) :- A = '/', B = f(V1,V2,V3), V1 = '+', V2 = ',', V3 = ';', "
+         "Z = A/V4, V4 = '*', g(Z)."),
+    (["--no-normalize"], "core_p_q(X,Y) :- X = '/', Y = f('+',',',';'), Z = X/'*', g(Z)."),
+], ids=["normalized", "raw"])
+def test_common_core_of_operator_atoms_parses_back(tmp_path, capsys, options, core):
+    clause = "(X,Y) :- X = '/', Y = f('+',',',';'), Z = X/'*', g(Z).\n"
+    path = write(tmp_path, "ops.pl", "p" + clause + "q" + clause)
+    assert main([path, "--emit-common-core", "--format", "json", *options]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["pairs"]
+    assert entry["common_core"] == core
+    ((parsed,),) = parse_program(core).predicates.values()
+    assert render_clause(parsed) == core
+
+
 def test_common_core_float_parses_back(tmp_path, capsys):
     clause = "(X) :- X = 100000000000000000000.0.\n"
     path = write(tmp_path, "float.pl", "p" + clause + "q" + clause)

@@ -314,7 +314,15 @@ def test_var_names_first_occurrence_order():
     assert list(var_names(clause)) == ["B", "A", "C"]
 
 
-_names = st.sampled_from(["a", "b", "f", "g"])
+# Names the parser reads as operators or punctuation, and names that only
+# a quoted atom can spell.  ':-' is left out: the parser rejects a
+# parenthesized ':-' as the left operand of ':-' as a chained ':-'.
+_CONTROL_NAMES = [",", ";", "->", "!", "\\+"]
+_ATOM_NAMES = ["a", "b", "f", "g", "+", "-", "*", "/", "=", "is", "<", "=<", "[]", ".",
+               "|", "a b", "it's", "a\n", "Abc"]
+_names = st.sampled_from(_ATOM_NAMES + _CONTROL_NAMES)
+# a body predicate the reader takes as an atom, not a control construct
+_pred_names = st.sampled_from(_ATOM_NAMES)
 _vars = st.sampled_from(["X", "Y", "Zed"])
 
 
@@ -338,7 +346,7 @@ def test_render_parse_round_trip(term):
     assert parse_term(render_term(term)) == term
 
 
-@given(st.lists(st.tuples(_names, st.lists(_terms(1), min_size=1, max_size=2)),
+@given(st.lists(st.tuples(_pred_names, st.lists(_terms(1), min_size=1, max_size=2)),
                 min_size=1, max_size=3))
 def test_clause_render_parse_round_trip(atom_shapes):
     body = tuple(Atom(PredSymbol(n, len(args)), tuple(args))
@@ -346,3 +354,20 @@ def test_clause_render_parse_round_trip(atom_shapes):
     clause = Clause(Atom(PredSymbol("h", 1), (Var("X"),)), Goal(body))
     parsed = parse_clause(render_clause(clause))
     assert (parsed.head, parsed.body) == (clause.head, clause.body)
+
+
+@pytest.mark.parametrize("body, text", [
+    ("X = '/'", "X = '/'"),
+    ("X = f('+')", "X = f('+')"),
+    ("X = f(',')", "X = f(',')"),
+    ("X = '[]'(a)", "X = '[]'(a)"),
+    ("Y = X / '*'", "Y = X/'*'"),
+    ("X = '-'(a,b,c)", "X = '-'(a,b,c)"),
+    ("X = f('a\n')", "X = f('a\n')"),
+    ("'-'(X), '[]'(Y)", "-(X), '[]'(Y)"),
+])
+def test_operator_and_punctuation_names_are_quoted_and_parse_back(body, text):
+    clause = parse_clause(f"p(X,Y) :- {body}.")
+    rendered = render_clause(clause)
+    assert rendered == f"p(X,Y) :- {text}."
+    assert parse_clause(rendered) == clause
