@@ -239,7 +239,3 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(_render_text(report["pairs"], report["warnings"]))
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

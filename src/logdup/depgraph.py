@@ -37,9 +37,6 @@ class SCC:
     def clauses_of(self, pred: PredSymbol) -> tuple:
         return tuple(self.clauses[i] for i in self.clause_indices[pred])
 
-    def segments_of(self, pred: PredSymbol) -> tuple:
-        return tuple(self.segmented[i] for i in self.clause_indices[pred])
-
     def name(self) -> str:
         return "[" + ",".join(str(p) for p in self.members) + "]"
 

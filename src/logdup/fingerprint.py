@@ -92,17 +92,6 @@ class SCCPrint:
 # Print construction
 # ---------------------------------------------------------------------------
 
-def _count_functors(term, counts: dict):
-    # numerals are counted as nodes elsewhere but carry no symbol here
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Struct):
-            key = (t.functor, len(t.args))
-            counts[key] = counts.get(key, 0) + 1
-            stack.extend(t.args)
-
-
 def goalprint(goal: Goal) -> GoalPrint:
     """Symbol counts of a normal-form goal.
 
@@ -121,12 +110,18 @@ def _count_symbols(goal: Goal) -> GoalPrint:
     """``goalprint``'s counting rule, for any goal: clauses compared
     without normalization keep compound call arguments."""
     counts: dict = {}
+    stack = []
     for atom in goal.atoms:
         # a symbol is its (name, arity) pair, as a functor's key is
         counts[atom.pred] = counts.get(atom.pred, 0) + 1
-        for arg in atom.args:
-            if isinstance(arg, Struct):
-                _count_functors(arg, counts)
+        stack.extend(atom.args)
+    while stack:
+        t = stack.pop()
+        # numerals are counted as nodes elsewhere but carry no symbol here
+        if isinstance(t, Struct):
+            key = (t.functor, len(t.args))
+            counts[key] = counts.get(key, 0) + 1
+            stack.extend(t.args)
     return GoalPrint(tuple(sorted(counts.items())))
 
 
@@ -143,7 +138,7 @@ def _canonical_key(cp: ClausePrint):
 
 
 def predicate_print(pred: PredSymbol, scc: SCC) -> PredicatePrint:
-    cps = [_segments_print(seg) for seg in scc.segments_of(pred)]
+    cps = [_segments_print(scc.segmented[i]) for i in scc.clause_indices[pred]]
     return PredicatePrint(tuple(sorted(cps, key=_canonical_key)))
 
 
@@ -223,7 +218,7 @@ def _shape_signature(scc: SCC):
     recursive structure."""
     per_pred = []
     for pred in scc.members:
-        lengths = sorted(len(seg.segments) for seg in scc.segments_of(pred))
+        lengths = sorted(len(scc.segmented[i].segments) for i in scc.clause_indices[pred])
         per_pred.append((pred.arity, tuple(lengths)))
     return tuple(sorted(per_pred))
 

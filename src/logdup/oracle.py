@@ -11,7 +11,7 @@ import string
 from dataclasses import dataclass
 from typing import Optional
 
-from .depgraph import SCC, segment_clause
+from .depgraph import SCC
 from .fingerprint import goalprint
 from .metrics import (
     Limits, anti_unify, goal_similarity, predicate_multiset, strict_commonality,
@@ -193,8 +193,8 @@ def mutate_duplicate(scc: SCC, seed: int) -> tuple:
 
     new_clauses = {q: [] for q in scc.members}
     for q in scc.members:
-        for clause in scc.clauses_of(q):
-            seg = segment_clause(clause, scc)
+        for k in scc.clause_indices[q]:
+            clause, seg = scc.clauses[k], scc.segmented[k]
             body = []
             for i, segment in enumerate(seg.segments):
                 atoms = list(segment.atoms)

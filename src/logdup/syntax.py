@@ -120,8 +120,9 @@ class Atom:
 
 @dataclass(frozen=True)
 class Goal:
-    """Conjunction of atoms.  Source order is kept for rendering and
-    normalization determinism; the measures treat it as a multiset."""
+    """Conjunction of atoms, kept in source order for rendering and
+    normalization; the measures treat it as a multiset, but compare only
+    the first n occurrences of a predicate that the other goal has n of."""
 
     atoms: tuple = ()
 
@@ -259,6 +260,14 @@ _INFIX_OPS = {
 }
 
 
+def _operand_max(prec: int, optype: str) -> tuple:
+    """The highest left and right operand priority of an infix operator,
+    by which the reader checks and the writer parenthesizes: ``prec`` where
+    a chain of it may nest, ``prec - 1`` otherwise (ISO/IEC 13211-1, 6.3.4)."""
+    return (prec if optype == "yfx" else prec - 1,
+            prec if optype == "xfy" else prec - 1)
+
+
 class _Parser:
     def __init__(self, text: str, filename: str):
         self.text = text
@@ -296,7 +305,8 @@ class _Parser:
         return Var(f"_G{self.fresh_counter}")
 
     def parse_term(self, maxprec: int):
-        left = self._primary()
+        # the term read so far and its priority, 0 for any primary
+        left, leftprec = self._primary(), 0
         tokens = self.tokens
         while True:
             tok = tokens[self.pos]
@@ -306,6 +316,9 @@ class _Parser:
             if entry is None or entry[0] > maxprec:
                 break
             prec, optype = entry
+            # no enclosing level can take this operator either
+            if leftprec > _operand_max(prec, optype)[0]:
+                self._error("operator priority clash", tok)
             self.pos += 1
             # Each xfy operator is the only one of its priority, so a chain
             # of it is read in a loop, not one recursion per operand, and
@@ -314,8 +327,7 @@ class _Parser:
             while optype == "xfy" and tokens[self.pos][1] == op:
                 self.pos += 1
                 operands.append(self.parse_term(prec - 1))
-            if op == ":-" and isinstance(left, Struct) and left.functor == ":-" and len(left.args) == 2:
-                self._error("chained ':-'", tok)
+            leftprec = prec
             left = operands.pop()
             while operands:
                 left = Struct(op, (operands.pop(), left))
@@ -512,7 +524,7 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
 # ---------------------------------------------------------------------------
 
 _PLAIN_NAME_RE = re.compile(r"[a-z]\w*")
-_SPACED_OPS = {"=", "is", "<", ">", "=<", ">=", "=:=", "=\\="}
+_SPACED_OPS = {op for op, (prec, _) in _INFIX_OPS.items() if prec == 700}
 
 
 def _render_name(name: str, arity: int) -> str:
@@ -558,8 +570,7 @@ def render_term(term, maxprec: int = 1200) -> str:
             return _close_list(term)
         if term.functor in _INFIX_OPS and len(term.args) == 2:
             prec, optype = _INFIX_OPS[term.functor]
-            lmax = prec if optype == "yfx" else prec - 1
-            rmax = prec if optype == "xfy" else prec - 1
+            lmax, rmax = _operand_max(prec, optype)
             # A chain of one priority is rendered along its spine in a loop:
             # the left one of a yfx chain, as the parser builds ``X+1+...+1``,
             # or the right one of an xfy chain such as ``a,b,...,z``.

@@ -252,13 +252,20 @@ def test_common_core_of_a_long_conjunction_term_parses_back(tmp_path):
     assert render_clause(parse_clause(core)) + "\n" == core
 
 
-@pytest.mark.parametrize("options, core", [
-    ([], "core_p_q(A,B) :- A = '/', B = f(V1,V2,V3), V1 = '+', V2 = ',', V3 = ';', "
-         "Z = A/V4, V4 = '*', g(Z)."),
-    (["--no-normalize"], "core_p_q(X,Y) :- X = '/', Y = f('+',',',';'), Z = X/'*', g(Z)."),
-], ids=["normalized", "raw"])
-def test_common_core_of_operator_atoms_parses_back(tmp_path, capsys, options, core):
-    clause = "(X,Y) :- X = '/', Y = f('+',',',';'), Z = X/'*', g(Z).\n"
+_OPS_CLAUSE = "(X,Y) :- X = '/', Y = f('+',',',';'), Z = X/'*', g(Z).\n"
+_NECK_CLAUSE = "(X) :- X = ((a:-b):-c), g(X).\n"
+
+
+@pytest.mark.parametrize("clause, options, core", [
+    (_OPS_CLAUSE, [], "core_p_q(A,B) :- A = '/', B = f(V1,V2,V3), V1 = '+', V2 = ',', "
+                      "V3 = ';', Z = A/V4, V4 = '*', g(Z)."),
+    (_OPS_CLAUSE, ["--no-normalize"],
+     "core_p_q(X,Y) :- X = '/', Y = f('+',',',';'), Z = X/'*', g(Z)."),
+    (_NECK_CLAUSE, [], "core_p_q(A) :- A = (V1:-V2), V1 = (V3:-V4), V3 = a, V4 = b, V2 = c, "
+                       "g(A)."),
+    (_NECK_CLAUSE, ["--no-normalize"], "core_p_q(X) :- X = ((a:-b):-c), g(X)."),
+], ids=["normalized", "raw", "neck-normalized", "neck-raw"])
+def test_common_core_of_operator_atoms_parses_back(tmp_path, capsys, clause, options, core):
     path = write(tmp_path, "ops.pl", "p" + clause + "q" + clause)
     assert main([path, "--emit-common-core", "--format", "json", *options]) == 0
     (entry,) = json.loads(capsys.readouterr().out)["pairs"]

@@ -315,9 +315,8 @@ def test_var_names_first_occurrence_order():
 
 
 # Names the parser reads as operators or punctuation, and names that only
-# a quoted atom can spell.  ':-' is left out: the parser rejects a
-# parenthesized ':-' as the left operand of ':-' as a chained ':-'.
-_CONTROL_NAMES = [",", ";", "->", "!", "\\+"]
+# a quoted atom can spell.
+_CONTROL_NAMES = [":-", ",", ";", "->", "!", "\\+"]
 _ATOM_NAMES = ["a", "b", "f", "g", "+", "-", "*", "/", "=", "is", "<", "=<", "[]", ".",
                "|", "a b", "it's", "a\n", "Abc"]
 _names = st.sampled_from(_ATOM_NAMES + _CONTROL_NAMES)
@@ -354,6 +353,29 @@ def test_clause_render_parse_round_trip(atom_shapes):
     clause = Clause(Atom(PredSymbol("h", 1), (Var("X"),)), Goal(body))
     parsed = parse_clause(render_clause(clause))
     assert (parsed.head, parsed.body) == (clause.head, clause.body)
+
+
+@pytest.mark.parametrize("text, clash", [
+    ("(a:-b):-c", None),
+    ("p(X) :- X = ((a:-b):-c).", None),
+    ("a :- b :- c", (1, 8)),
+    ("a = b = c", (1, 7)),
+    ("f(a < b < c)", (1, 9)),
+    ("a = b - c = d", (1, 11)),
+    ("p :- a\n  :- b.", (2, 3)),
+])
+def test_operand_priority_is_the_writers(text, clash):
+    """An operand above an operator's left maximum is a clash at that
+    operator, as in ISO readers; a parenthesized one may stand anywhere."""
+    clause = text.endswith(".")
+    parse, render = (parse_clause, render_clause) if clause else (parse_term, render_term)
+    if clash is None:
+        parsed = parse(text)
+        assert render(parsed) == text and parse(render(parsed)) == parsed
+    else:
+        with pytest.raises(PrologSyntaxError, match="operator priority clash") as info:
+            parse(text)
+        assert (info.value.line, info.value.column) == clash
 
 
 @pytest.mark.parametrize("body, text", [
