@@ -11,13 +11,11 @@ benchmark compare against."""
 from .depgraph import SCC, ClauseSegments, build_sccs, scc_of, segment_clause
 from .fingerprint import (
     ClausePrint, GoalPrint, PredicatePrint, SCCPrint, candidate_pairs,
-    clauseprint, fp_closeness, goalprint, predicate_print, print_glb,
-    scc_print, scc_print_glb,
+    fp_closeness, goalprint, predicate_print, print_glb, scc_print, scc_print_glb,
 )
 from .metrics import (
     GoalAlignment, Limits, commonality, goal_similarity,
-    maximal_similar_subgoals, nodes, predicate_multiset,
-    strict_commonality, total_nodes, var_occurrences,
+    maximal_similar_subgoals, predicate_multiset, strict_commonality,
 )
 from .normalize import is_normal_atom, normalize_clause, normalize_program
 from .oracle import (

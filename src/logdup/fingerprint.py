@@ -1,6 +1,6 @@
 """Fingerprint abstraction: symbol-count prints for goals, clauses,
-predicates and SCCs, their orders and greatest lower bounds, and the
-print-based candidate pre-filter."""
+predicates and SCCs, their greatest lower bounds, and the print-based
+candidate pre-filter."""
 
 from __future__ import annotations
 
@@ -9,10 +9,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .depgraph import SCC, ClauseSegments, build_sccs, segment_clause
+from .depgraph import SCC, ClauseSegments, build_sccs
 from .metrics import max_weight_matching
 from .normalize import is_normal_atom
-from .syntax import Clause, Goal, PredSymbol, Program, Struct
+from .syntax import Goal, PredSymbol, Program, Struct
 
 
 @dataclass(frozen=True)
@@ -22,16 +22,9 @@ class GoalPrint:
 
     items: tuple = ()  # sorted tuple[((name, arity), count), ...]
 
-    def count(self, symbol) -> int:
-        return dict(self.items).get(symbol, 0)
-
     @property
     def total(self) -> int:
         return sum(n for _, n in self.items)
-
-    def leq(self, other: "GoalPrint") -> bool:
-        theirs = dict(other.items)
-        return all(n <= theirs.get(sym, 0) for sym, n in self.items)
 
     def glb(self, other: "GoalPrint") -> "GoalPrint":
         theirs = dict(other.items)
@@ -39,10 +32,6 @@ class GoalPrint:
                      for sym, n in self.items
                      if sym in theirs and min(n, theirs[sym]) > 0)
         return GoalPrint(kept)
-
-    def render(self) -> str:
-        parts = [f"{name}/{arity}:{n}" for (name, arity), n in self.items]
-        return "{" + ",".join(parts) + "}"
 
 
 @dataclass(frozen=True)
@@ -125,10 +114,6 @@ def _count_symbols(goal: Goal) -> GoalPrint:
     return GoalPrint(tuple(sorted(counts.items())))
 
 
-def clauseprint(clause: Clause, scc: SCC) -> ClausePrint:
-    return _segments_print(segment_clause(clause, scc))
-
-
 def _segments_print(seg: ClauseSegments) -> ClausePrint:
     return ClausePrint(tuple(_count_symbols(q) for q in seg.segments))
 
@@ -152,7 +137,7 @@ def scc_print(scc: SCC) -> SCCPrint:
 
 
 # ---------------------------------------------------------------------------
-# Orders and greatest lower bounds
+# Greatest lower bounds
 # ---------------------------------------------------------------------------
 
 def _glb_matching(lefts, rights, glb) -> Optional[list]:

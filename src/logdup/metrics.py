@@ -1,5 +1,5 @@
-"""Goal-level measures: node counts, strict commonality, anti-unification,
-similarly structured subgoals, renaming search and similarity."""
+"""Goal-level measures: strict commonality, anti-unification, similarly
+structured subgoals, renaming search and similarity."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .depgraph import SCC
-from .syntax import Goal, Num, Struct, Var, align, node_counts, rename_vars, shape, var_names
+from .syntax import Goal, Num, Struct, Var, align, rename_vars, shape, var_names
 
 
 @dataclass(frozen=True)
@@ -25,33 +24,6 @@ class Limits:
     exact_group: int = 6
     arity: int = 6
     witness_cap: int = 10000
-
-
-# ---------------------------------------------------------------------------
-# Node counts
-# ---------------------------------------------------------------------------
-
-def _node_counts(entity) -> tuple:
-    """``syntax.node_counts``, extended to an SCC as the sum over its
-    clauses."""
-    if not isinstance(entity, SCC):
-        return node_counts(entity)
-    counts = [node_counts(c) for c in entity.clauses]
-    return sum(n for n, _ in counts), sum(v for _, v in counts)
-
-
-def nodes(entity) -> int:
-    """Functor/constant node count; variables count 0, numerals count 1."""
-    return _node_counts(entity)[0]
-
-
-def var_occurrences(entity) -> int:
-    return _node_counts(entity)[1]
-
-
-def total_nodes(entity) -> int:
-    """Node count including variable occurrences."""
-    return sum(_node_counts(entity))
 
 
 # ---------------------------------------------------------------------------

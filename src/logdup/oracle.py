@@ -130,7 +130,7 @@ def find_structure_witnesses(s1: SCC, s2: SCC, limits: Limits = Limits()):
     The combinations examined are those ``closeness`` examines under the
     same limits."""
     for pred_map, perms, groups, rhos in itertools.islice(
-            _witness_combos(s1, s2, limits.arity), limits.witness_cap):
+            _witness_combos(s1, s2, limits), limits.witness_cap):
         if rhos is None:
             continue
         options = [[(i, j, rhos[i, j]) for j in right if (i, j) in rhos]

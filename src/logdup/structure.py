@@ -113,40 +113,46 @@ def _combo_rhos(options: list, pred_map: dict, perms: dict) -> Optional[dict]:
     return rhos
 
 
-def _pred_bijections(s1: SCC, s2: SCC):
+def _pred_bijections(s1: SCC, s2: SCC, cap: int):
     """Arity/clause-count-respecting bijections between member predicates,
-    in deterministic order."""
+    in deterministic order, from the first ``cap`` permutations of each group."""
     groups1, groups2 = {}, {}
     for scc, groups in ((s1, groups1), (s2, groups2)):
         for p in scc.members:
             groups.setdefault((p.arity, len(scc.clause_indices[p])), []).append(p)
     if {k: len(v) for k, v in groups1.items()} != {k: len(v) for k, v in groups2.items()}:
         return
-    per_group = [[tuple(zip(groups1[k], perm)) for perm in itertools.permutations(groups2[k])]
+    per_group = [[tuple(zip(groups1[k], perm))
+                  for perm in itertools.islice(itertools.permutations(groups2[k]), cap)]
                  for k in sorted(groups1)]
     for combo in itertools.product(*per_group):
         yield {p: q for group in combo for p, q in group}
 
 
-def _perm_combos(members, arity: int):
-    """All per-predicate argument permutation combinations; a predicate above
-    both ``arity`` and arity 1 gets only the identity."""
-    spaces = [[ArgPermutation(p) for p in itertools.permutations(range(1, q.arity + 1))]
+def _perm_combos(members, arity: int, cap: int):
+    """Argument permutation combinations from the first ``cap`` permutations
+    of each predicate; one above both ``arity`` and 1 gets only the identity."""
+    spaces = [[ArgPermutation(p)
+               for p in itertools.islice(itertools.permutations(range(1, q.arity + 1)), cap)]
               if q.arity <= max(arity, 1) else [ArgPermutation.identity(q.arity)]
               for q in members]
     for combo in itertools.product(*spaces):
         yield dict(zip(members, combo))
 
 
-def _witness_combos(s1: SCC, s2: SCC, arity: int):
-    """Every (predicate bijection, argument permutations) combination of
-    two SCCs, in deterministic order, as ``(pred_map, perms, groups,
-    rhos)``.  ``groups`` holds, per member of s1, its clause
-    indices and those of its image in s2; ``rhos`` maps each compatible
-    clause pair (i, j) to its variable renaming, and is None when some
-    clause of s1 has no compatible partner (the combination is dead)."""
+def _witness_combos(s1: SCC, s2: SCC, limits: Limits):
+    """The (predicate bijection, argument permutations) combinations of two
+    SCCs, in deterministic order, as ``(pred_map, perms, groups, rhos)``.
+    ``groups`` holds, per member of s1, its clause indices and those of
+    its image in s2; ``rhos`` maps each compatible clause pair (i, j) to
+    its variable renaming, and is None when some clause of s1 has no
+    compatible partner (the combination is dead).  Each list of the
+    lexicographic product is cut at ``witness_cap + 1`` entries; its k-th
+    combination takes at most the k-th entry of each list, so the first
+    ``witness_cap + 1``, all that closeness reads, are unchanged."""
+    cap = limits.witness_cap + 1
     tables: dict = {}  # (i, j) -> _arg_table of that clause pair
-    for pred_map in _pred_bijections(s1, s2):
+    for pred_map in _pred_bijections(s1, s2, cap):
         groups = [(left, s2.clause_indices[pred_map[q]]) for q, left in s1.clause_indices.items()]
         for left, right in groups:
             for i, j in itertools.product(left, right):
@@ -154,7 +160,7 @@ def _witness_combos(s1: SCC, s2: SCC, arity: int):
                     tables[i, j] = _arg_table(s1.segmented[i], s2.segmented[j])
         options = [(i, [(j, tables[i, j]) for j in right if tables[i, j] is not None])
                    for left, right in groups for i in left]
-        for perms in _perm_combos(s1.members, arity):
+        for perms in _perm_combos(s1.members, limits.arity, cap):
             yield pred_map, perms, groups, _combo_rhos(options, pred_map, perms)
 
 
@@ -280,7 +286,7 @@ def closeness(s1: SCC, s2: SCC, limits: Limits = Limits(),
     # _pair_key -> alignment of a segment pair, under these limits
     memo = {} if memo is None else memo.setdefault(limits, {})
     for count, (pred_map, perms, groups, rhos) in enumerate(
-            _witness_combos(s1, s2, limits.arity)):
+            _witness_combos(s1, s2, limits)):
         if count == limits.witness_cap:
             approximate = True
             break

@@ -10,6 +10,7 @@ with a warning rather than rejected.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -125,9 +126,6 @@ class Goal:
     the first n occurrences of a predicate that the other goal has n of."""
 
     atoms: tuple = ()
-
-    def __len__(self):
-        return len(self.atoms)
 
     def __repr__(self):
         return ", ".join(render_atom(a) for a in self.atoms) or "true"
@@ -345,7 +343,12 @@ class _Parser:
         if kind == "var":
             return self._fresh_var() if value == "_" else Var(value)
         if kind == "num":
-            return Num(float(value) if "." in value else int(value))
+            if "." not in value:
+                return Num(int(value))
+            number = float(value)
+            if math.isinf(number):  # no text reads back as an infinite float
+                self._error("float overflow", tok)
+            return Num(number)
         if kind == "punct":
             if value == "(":
                 term = self.parse_term(1200)

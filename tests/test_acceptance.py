@@ -11,13 +11,14 @@ from fractions import Fraction
 from logdup import (
     Atom, Goal, PredSymbol, Struct, Var, brute_force_commonality,
     build_sccs, candidate_pairs, check_glb_conjecture, closeness, commonality,
-    enumerate_renamings, msg, mutate_duplicate, nodes, normalize_program,
+    enumerate_renamings, msg, mutate_duplicate, normalize_program,
     parse_goal, parse_program, render_clause, scc_of, scc_print,
     scc_similarity, shared_var_count, strict_commonality,
 )
 from logdup.cli import NODE_COUNTING_NOTE
 from logdup.fingerprint import GoalPrint, scc_print_glb
 from logdup.oracle import find_structure_witnesses
+from logdup.syntax import node_counts
 from tests.conftest import (
     ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL, scc_named,
 )
@@ -36,7 +37,7 @@ def test_criterion_01_strict_commonality_worked_example():
     q2 = parse_goal("p(f(T),g(T,h(Z,b))), q(Z,T)")
     value = strict_commonality(q1, q2)
     gen = msg(q1, q2).generalization
-    msg_nodes = nodes(gen)
+    msg_nodes = node_counts(gen)[0]
     delta = shared_var_count(q1, q2)
     best = min(
         (lambda t0: (strict_commonality(q1, q2), time.perf_counter() - t0))(
@@ -239,8 +240,8 @@ def test_criterion_08_glb_conjecture_checker(tmp_path):
         lines = []
         for g1, g2, (glb, gen) in violations:
             lines.append(f"goal 1: {g1}\ngoal 2: {g2}\n"
-                         f"glb print: {glb.render()}\n"
-                         f"generalization print: {gen.render()}\n")
+                         f"glb print: {glb.items}\n"
+                         f"generalization print: {gen.items}\n")
         artifact.write_text("\n".join(lines))
     ok = checked >= 500 and (not violations or artifact.exists())
     report(8, ok, f"{checked} pairs checked, {len(violations)} violations"

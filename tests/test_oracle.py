@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from logdup import (
     Atom, Goal, PredSymbol, Struct, Var, brute_force_commonality, closeness,
-    commonality, mutate_duplicate, parse_goal, total_nodes,
+    commonality, mutate_duplicate, parse_goal,
 )
 from logdup.depgraph import segment_clause
+from logdup.syntax import node_counts
 from tests.conftest import scc_named
 
 
@@ -20,7 +21,7 @@ def test_brute_force_worked_example():
 
 def test_brute_force_self_is_total_nodes():
     goal = parse_goal("p(f(X), a), q(X)")
-    assert brute_force_commonality(goal, goal) == total_nodes(goal)
+    assert brute_force_commonality(goal, goal) == sum(node_counts(goal))
 
 
 def test_brute_force_single_atoms():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from typing import Optional
 from unittest import mock
@@ -12,13 +13,13 @@ from logdup import (
     PredSymbol, SimilarityResult, StructureWitness, Var, closeness, common_core,
     goal_similarity, normalize_program, parse_program,
     render_clause, scc_similarity, self_similarity, strict_commonality,
-    total_nodes, validate_witness,
+    validate_witness,
 )
 from logdup import mutate_duplicate, structure
 from logdup.depgraph import build_sccs, scc_of
 from logdup.metrics import anti_unify
 from logdup.oracle import find_structure_witnesses
-from logdup.syntax import Num, Struct, align, parse_goal, rename_vars, shape
+from logdup.syntax import Num, Struct, align, node_counts, parse_goal, rename_vars, shape
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL, scc_named
 from tests.test_acceptance import FIXTURE, FIXTURE_PREDS, _scale_corpus
 
@@ -391,8 +392,8 @@ def _assert_witnesses_make_calls_identical(s1, s2):
         for (i, j), rho in zip(w.clause_mapping.pairs, w.renamings):
             lseg, rseg = s1.segmented[i], s2.segmented[j]
             calls = _reference_call_score(lseg, rseg, pred_map, perms, dict(rho))
-            assert calls == sum(total_nodes(a) for a in (rseg.head,) + rseg.recursive_calls)
-            assert calls == sum(total_nodes(a) for a in (lseg.head,) + lseg.recursive_calls)
+            assert calls == sum(sum(node_counts(a)) for a in (rseg.head,) + rseg.recursive_calls)
+            assert calls == sum(sum(node_counts(a)) for a in (lseg.head,) + lseg.recursive_calls)
             segments, aligns, _ = _reference_segment_score(lseg, rseg, Limits())
             sigma += segments + calls
             alignments.append(aligns)
@@ -586,19 +587,23 @@ qb(0) :- qb(z).
 
 
 def _assert_combos_match_reference(s1, s2, arity_limit):
-    """Check every combination of (s1, s2) against the reference; returns
-    the number of combinations and of dead ones."""
-    combos = list(structure._witness_combos(s1, s2, arity_limit))
+    """Check the combinations of (s1, s2) against the reference: every one
+    under the default witness cap, and the first cap + 1, all that
+    closeness reads, under smaller caps; returns the number of
+    combinations and of dead ones."""
     reference = list(_reference_witness_combos(s1, s2, arity_limit))
-    assert len(combos) == len(reference)
-    dead = 0
-    for (*head, rhos), (pred_map, perms, _, groups, ref_rhos) in zip(combos, reference):
-        assert head == [pred_map, perms, groups]
-        if all(any((i, j) in ref_rhos for j in right) for left, right in groups for i in left):
-            assert rhos == ref_rhos
-        else:
-            assert rhos is None
-            dead += 1
+    for cap in (1, 2, 5, Limits().witness_cap):
+        limits = Limits(arity=arity_limit, witness_cap=cap)
+        combos = list(itertools.islice(structure._witness_combos(s1, s2, limits), cap + 1))
+        assert len(combos) == min(len(reference), cap + 1)
+        dead = 0
+        for (*head, rhos), (pred_map, perms, _, groups, ref_rhos) in zip(combos, reference):
+            assert head == [pred_map, perms, groups]
+            if all(any((i, j) in ref_rhos for j in right) for left, right in groups for i in left):
+                assert rhos == ref_rhos
+            else:
+                assert rhos is None
+                dead += 1
     # every segment of the fixtures is searched exactly, so closeness is
     # approximate only where the reference skips argument permutations
     result = closeness(s1, s2, Limits(arity=arity_limit))
@@ -657,7 +662,7 @@ ws(a, 0, Y) :- r(Y).
 def test_witness_cap_counts_dead_combinations(cap_offset):
     s1 = scc_named(SWAP_LEFT, "sw", 3)
     s2 = scc_named(SWAP_RIGHT, "ws", 3)
-    combos = list(structure._witness_combos(s1, s2, Limits().arity))
+    combos = list(structure._witness_combos(s1, s2, Limits()))
     assert [rhos is not None for *_, rhos in combos] == [True, False, False, False, False, True]
     limits = Limits(witness_cap=len(combos) + cap_offset)
     result = closeness(s1, s2, limits)
@@ -672,6 +677,26 @@ def test_witness_cap_counts_dead_combinations(cap_offset):
         (PredSymbol("sw", 3), ArgPermutation((1, 2, 3) if truncated else (3, 2, 1))),)
     assert result.witness.clause_mapping.pairs == (((0, 1), (1, 0)) if truncated else ((0, 0), (1, 1)))
     assert result.witness.renamings == (((("Y", "Y"),),) * 2)
+
+
+def _ring(prefix: str, n: int) -> str:
+    """One SCC of n members, each calling the next."""
+    return "".join(f"{prefix}{k}(X) :- {prefix}{(k + 1) % n}(X).\n" for k in range(n))
+
+
+def test_witness_search_builds_only_the_combinations_it_reads():
+    # two 9-member rings have 9! predicate bijections, of which the default
+    # cap reads 10,001; listing all of them takes over 200 MiB
+    s1 = scc_named(_ring("a", 9), "a0", 1)
+    s2 = scc_named(_ring("b", 9), "b0", 1)
+    tracemalloc.start()
+    try:
+        result = closeness(s1, s2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.sigma, result.approximate) == (45, True)
+    assert peak < 16 * 2**20
 
 
 # The segment memo of closeness.  A pair key keeps the shapes of both
@@ -766,7 +791,7 @@ def _reference_clause_pair_score(lseg: ClauseSegments, rseg: ClauseSegments,
                                  limits: Limits, memo: dict):
     """``_clause_pair_score`` without the memo: every segment pair is
     searched."""
-    score = 1 + sum(total_nodes(a) for a in (rseg.head,) + rseg.recursive_calls)
+    score = 1 + sum(sum(node_counts(a)) for a in (rseg.head,) + rseg.recursive_calls)
     alignments = []
     approximate = False
     for lq, rq in zip(lseg.segments, rseg.segments):

@@ -6,9 +6,9 @@ from logdup import (
     parse_clause, parse_goal, parse_program, parse_term, render_clause,
     render_term,
 )
-from logdup.metrics import nodes, var_occurrences
 from logdup.syntax import (
-    ARITH_BUILTINS, BUILTIN_PREDS, EQ, _tokenize, align, rename_vars, var_names,
+    ARITH_BUILTINS, BUILTIN_PREDS, EQ, _tokenize, align, node_counts, rename_vars,
+    var_names,
 )
 
 
@@ -168,6 +168,8 @@ SYNTAX_ERRORS = [
     ("p(a) :- X = a /* b", (1, 15), "unterminated block comment"),
     ("p./* c", (1, 3), "unterminated block comment"),
     ("p(X) :- X = 1e5.", (1, 14), "expected '.', found 'e5'"),
+    # an infinite float has no text that reads back
+    ("p(a).\nq(X) :- X = 1.0e400, g(X).", (2, 13), "float overflow"),
 ]
 
 
@@ -177,6 +179,16 @@ def test_syntax_error_carries_location():
             parse_program(text, filename="ml.pl")
         assert (err.value.line, err.value.column) == (line, column), text
         assert str(err.value) == f"ml.pl:{line}:{column}: {message}"
+
+
+def test_an_overflowing_float_is_refused_at_its_number():
+    for text, column in (("X = 1.0e400", 5), ("X = -1.0e400", 6)):
+        with pytest.raises(PrologSyntaxError, match="float overflow") as info:
+            parse_term(text)
+        assert (info.value.line, info.value.column) == (1, column)
+    # an underflowing float reads as 0.0, which writes back as itself
+    zero = parse_term("1.0e-400")
+    assert zero == Num(0.0) and parse_term(render_term(zero)) == zero
 
 
 def test_long_body_parses():
@@ -263,8 +275,7 @@ def test_align_and_var_names_walk_deep_terms():
         listed = Struct(".", (Var(f"V{i % 7}") if i % 2 else Num(i), listed))
     for term, names in ((nested, 1), (listed, 7)):
         matched, pairs, exact = align(term, term)
-        assert (matched, exact) == (nodes(term), True)
-        assert len(pairs) == var_occurrences(term)
+        assert (matched, len(pairs), exact) == (*node_counts(term), True)
         assert len(var_names(term)) == names
 
 
