@@ -285,11 +285,8 @@ def closeness(s1: SCC, s2: SCC, limits: Limits = Limits(),
     scores: dict = {}  # (i, j) -> _clause_pair_score of that clause pair
     # _pair_key -> alignment of a segment pair, under these limits
     memo = {} if memo is None else memo.setdefault(limits, {})
-    for count, (pred_map, perms, groups, rhos) in enumerate(
-            _witness_combos(s1, s2, limits)):
-        if count == limits.witness_cap:
-            approximate = True
-            break
+    combos = _witness_combos(s1, s2, limits)
+    for pred_map, perms, groups, rhos in itertools.islice(combos, limits.witness_cap):
         if rhos is None:
             continue
         for i, j in rhos:
@@ -310,6 +307,7 @@ def closeness(s1: SCC, s2: SCC, limits: Limits = Limits(),
         else:
             if best is None or total > best[0]:
                 best = (total, pred_map, perms, sorted(mapping, key=lambda m: m[0]))
+    approximate = approximate or next(combos, None) is not None
 
     if best is None:
         return None

@@ -68,10 +68,6 @@ class Struct:
     functor: str
     args: tuple = ()
 
-    def __post_init__(self):
-        if not self.functor:
-            raise ValueError("functor names must be non-empty")
-
     def __eq__(self, other):
         return self is other or (isinstance(other, Struct) and shape(self) == shape(other))
 
@@ -344,7 +340,10 @@ class _Parser:
             return self._fresh_var() if value == "_" else Var(value)
         if kind == "num":
             if "." not in value:
-                return Num(int(value))
+                try:  # past Python's digit limit, which ``repr`` shares
+                    return Num(int(value))
+                except ValueError:
+                    self._error("integer too long", tok)
             number = float(value)
             if math.isinf(number):  # no text reads back as an infinite float
                 self._error("float overflow", tok)
@@ -368,36 +367,31 @@ class _Parser:
                 return Struct("-", (arg,))
         self._error(f"unexpected token {value!r}", tok)
 
-    def _arglist(self) -> list:
-        args = [self.parse_term(999)]
+    def _items(self, closers: tuple, expected: str) -> tuple:
+        """Terms separated by ',' up to one of ``closers``: the terms and
+        the closer read, or an error naming the ``expected`` tokens."""
+        items = [self.parse_term(999)]
         while True:
             tok = self._next()
             sep = tok[1] if tok[0] == "punct" else None
-            if sep == ")":
-                return args
+            if sep in closers:
+                return items, sep
             if sep != ",":
-                self._error(f"expected ',' or ')', found {_shown(tok)}", tok)
-            args.append(self.parse_term(999))
+                self._error(f"expected {expected}, found {_shown(tok)}", tok)
+            items.append(self.parse_term(999))
+
+    def _arglist(self) -> list:
+        return self._items((")",), "',' or ')'")[0]
 
     def _list(self):
         if self.tokens[self.pos][:2] == ["punct", "]"]:
             self.pos += 1
             return Struct("[]")
-        elems = [self.parse_term(999)]
-        tail = Struct("[]")
-        while True:
-            tok = self._next()
-            sep = tok[1] if tok[0] == "punct" else None
-            if sep == "]":
-                break
-            if sep == "|":
-                tail = self.parse_term(999)
-                self._expect("]")
-                break
-            if sep != ",":
-                self._error(f"expected ',', '|' or ']', found {_shown(tok)}", tok)
-            elems.append(self.parse_term(999))
-        result = tail
+        elems, closer = self._items(("|", "]"), "',', '|' or ']'")
+        result = Struct("[]")
+        if closer == "|":
+            result = self.parse_term(999)
+            self._expect("]")
         for e in reversed(elems):
             result = Struct(".", (e, result))
         return result

@@ -254,6 +254,7 @@ def test_common_core_of_a_long_conjunction_term_parses_back(tmp_path):
 
 _OPS_CLAUSE = "(X,Y) :- X = '/', Y = f('+',',',';'), Z = X/'*', g(Z).\n"
 _NECK_CLAUSE = "(X) :- X = ((a:-b):-c), g(X).\n"
+_EMPTY_ATOM_CLAUSE = "(X) :- X = '', g(X).\n"
 
 
 @pytest.mark.parametrize("clause, options, core", [
@@ -264,7 +265,10 @@ _NECK_CLAUSE = "(X) :- X = ((a:-b):-c), g(X).\n"
     (_NECK_CLAUSE, [], "core_p_q(A) :- A = (V1:-V2), V1 = (V3:-V4), V3 = a, V4 = b, V2 = c, "
                        "g(A)."),
     (_NECK_CLAUSE, ["--no-normalize"], "core_p_q(X) :- X = ((a:-b):-c), g(X)."),
-], ids=["normalized", "raw", "neck-normalized", "neck-raw"])
+    (_EMPTY_ATOM_CLAUSE, [], "core_p_q(A) :- A = '', g(A)."),
+    (_EMPTY_ATOM_CLAUSE, ["--no-normalize"], "core_p_q(X) :- X = '', g(X)."),
+], ids=["normalized", "raw", "neck-normalized", "neck-raw", "empty-atom-normalized",
+        "empty-atom-raw"])
 def test_common_core_of_operator_atoms_parses_back(tmp_path, capsys, clause, options, core):
     path = write(tmp_path, "ops.pl", "p" + clause + "q" + clause)
     assert main([path, "--emit-common-core", "--format", "json", *options]) == 0

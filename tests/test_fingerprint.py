@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logdup import (
-    ClausePrint, GoalPrint, PredicatePrint, PredSymbol, SCCPrint, candidate_pairs,
-    check_glb_conjecture, fp_closeness, goalprint, mutate_duplicate,
+    ClausePrint, GoalPrint, PredicatePrint, PredSymbol, PrologSyntaxError, SCCPrint,
+    candidate_pairs, check_glb_conjecture, fp_closeness, goalprint, mutate_duplicate,
     normalize_program, parse_goal, parse_program, predicate_print, print_glb,
     scc_print, scc_print_glb,
 )
@@ -28,7 +28,8 @@ def test_goalprint_worked_example():
 
 
 def test_goalprint_empty_goal():
-    assert goalprint(parse_goal("")) == GoalPrint(()) if False else True
+    with pytest.raises(PrologSyntaxError, match="unexpected end of input"):
+        parse_goal("")
     from logdup import Goal
     assert goalprint(Goal(())) == GoalPrint(())
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -168,8 +170,11 @@ SYNTAX_ERRORS = [
     ("p(a) :- X = a /* b", (1, 15), "unterminated block comment"),
     ("p./* c", (1, 3), "unterminated block comment"),
     ("p(X) :- X = 1e5.", (1, 14), "expected '.', found 'e5'"),
-    # an infinite float has no text that reads back
+    # an infinite float has no text that reads back; an integer longer
+    # than Python converts has no value to read
     ("p(a).\nq(X) :- X = 1.0e400, g(X).", (2, 13), "float overflow"),
+    ("p(X) :- X = " + "1" * (sys.get_int_max_str_digits() + 1) + ".", (1, 13),
+     "integer too long"),
 ]
 
 
@@ -189,6 +194,11 @@ def test_an_overflowing_float_is_refused_at_its_number():
     # an underflowing float reads as 0.0, which writes back as itself
     zero = parse_term("1.0e-400")
     assert zero == Num(0.0) and parse_term(render_term(zero)) == zero
+
+
+def test_an_integer_of_the_digit_limit_reads_and_writes_back():
+    text = "1" * sys.get_int_max_str_digits()
+    assert render_term(parse_term(text)) == text
 
 
 def test_long_body_parses():
@@ -329,7 +339,7 @@ def test_var_names_first_occurrence_order():
 # a quoted atom can spell.
 _CONTROL_NAMES = [":-", ",", ";", "->", "!", "\\+"]
 _ATOM_NAMES = ["a", "b", "f", "g", "+", "-", "*", "/", "=", "is", "<", "=<", "[]", ".",
-               "|", "a b", "it's", "a\n", "Abc"]
+               "|", "a b", "it's", "a\n", "Abc", ""]
 _names = st.sampled_from(_ATOM_NAMES + _CONTROL_NAMES)
 # a body predicate the reader takes as an atom, not a control construct
 _pred_names = st.sampled_from(_ATOM_NAMES)
