@@ -45,16 +45,6 @@ def _fraction_arg(text: str) -> Fraction:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
-    return value
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logdup",
@@ -72,16 +62,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--emit-common-core", action="store_true",
                         help="include a generalized definition for each exact pair")
     limits = Limits()
-    parser.add_argument("--exact-vars-limit", type=_positive_int, default=limits.exact_vars,
+    parser.add_argument("--exact-vars-limit", type=int, default=limits.exact_vars,
                         help="most variables of a goal whose renamings are searched "
                              "exactly (default %(default)s)")
-    parser.add_argument("--exact-group-limit", type=_positive_int, default=limits.exact_group,
+    parser.add_argument("--exact-group-limit", type=int, default=limits.exact_group,
                         help="most atoms of one predicate in a goal whose pairings are "
                              "searched exactly (default %(default)s)")
-    parser.add_argument("--arity-limit", type=_positive_int, default=limits.arity,
+    parser.add_argument("--arity-limit", type=int, default=limits.arity,
                         help="largest arity whose argument permutations are all tried "
                              "(default %(default)s)")
-    parser.add_argument("--witness-cap", type=_positive_int, default=limits.witness_cap,
+    parser.add_argument("--witness-cap", type=int, default=limits.witness_cap,
                         help="most predicate bijection x argument permutation "
                              "combinations examined per pair (default %(default)s)")
     return parser
@@ -213,12 +203,16 @@ def run(config: Config):
 def main(argv=None) -> int:
     parser = build_arg_parser()
     args = parser.parse_intermixed_args(argv)
+    try:
+        limits = Limits(exact_vars=args.exact_vars_limit, exact_group=args.exact_group_limit,
+                        arity=args.arity_limit, witness_cap=args.witness_cap)
+    except ValueError as exc:
+        parser.error(str(exc))
     config = Config(
         paths=args.paths,
         threshold=args.threshold,
         fp_threshold=args.fp_threshold,
-        limits=Limits(args.exact_vars_limit, args.exact_group_limit,
-                      args.arity_limit, args.witness_cap),
+        limits=limits,
         normalize=not args.no_normalize,
         emit_common_core=args.emit_common_core,
         format=args.format,

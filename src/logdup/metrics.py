@@ -18,12 +18,17 @@ class Limits:
     and greedily beyond.  Closeness tries every argument permutation of
     a predicate up to arity ``arity`` (the identity only above it) and
     examines at most ``witness_cap`` (predicate bijection x argument
-    permutation) combinations per pair."""
+    permutation) combinations per pair.  Each is at least 1."""
 
     exact_vars: int = 8
     exact_group: int = 6
     arity: int = 6
     witness_cap: int = 10000
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 # ---------------------------------------------------------------------------

@@ -131,10 +131,10 @@ def _pred_bijections(s1: SCC, s2: SCC, cap: int):
 
 def _perm_combos(members, arity: int, cap: int):
     """Argument permutation combinations from the first ``cap`` permutations
-    of each predicate; one above both ``arity`` and 1 gets only the identity."""
+    of each predicate; one above ``arity`` gets only the identity."""
     spaces = [[ArgPermutation(p)
                for p in itertools.islice(itertools.permutations(range(1, q.arity + 1)), cap)]
-              if q.arity <= max(arity, 1) else [ArgPermutation.identity(q.arity)]
+              if q.arity <= arity else [ArgPermutation.identity(q.arity)]
               for q in members]
     for combo in itertools.product(*spaces):
         yield dict(zip(members, combo))
@@ -281,7 +281,7 @@ def closeness(s1: SCC, s2: SCC, limits: Limits = Limits(),
     combination's segment alignments are greedy."""
     best = None
     # every combination skips the same permutations
-    approximate = any(q.arity > max(limits.arity, 1) for q in s1.members)
+    approximate = any(q.arity > limits.arity for q in s1.members)
     scores: dict = {}  # (i, j) -> _clause_pair_score of that clause pair
     # _pair_key -> alignment of a segment pair, under these limits
     memo = {} if memo is None else memo.setdefault(limits, {})

@@ -56,7 +56,7 @@ class Num:
         return hash((type(self.value), self.value))
 
     def __repr__(self):
-        return str(self.value)
+        return _render_num(self.value)
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,10 @@ class PredSymbol(NamedTuple):
     arity: int
 
     def __str__(self):
-        return f"{self.name}/{self.arity}"
+        """The predicate indicator, its name written as the functor of an
+        atom: ``p/2``, ``'a b'/1``, ``'-'/1`` (a bare ``-`` before ``/``
+        reads as prefix minus)."""
+        return f"{_render_name(self.name, 0)}/{self.arity}"
 
     __repr__ = __str__
 
@@ -198,7 +201,7 @@ def _shown(tok) -> str:
     was written quoted and keeps its quotes: the atom ')' is not ')'."""
     value = tok[1]
     if tok[0] == "name" and not _PLAIN_NAME_RE.fullmatch(value):
-        value = "'" + value.replace("'", "''") + "'"
+        value = _quoted(value)
     return repr(value)
 
 
@@ -365,7 +368,7 @@ class _Parser:
                     return Num(-self._primary().value)
                 arg = self.parse_term(200)
                 return Struct("-", (arg,))
-        self._error(f"unexpected token {value!r}", tok)
+        self._error(f"unexpected token {_shown(tok)}", tok)
 
     def _items(self, closers: tuple, expected: str) -> tuple:
         """Terms separated by ',' up to one of ``closers``: the terms and
@@ -401,7 +404,7 @@ class _Parser:
 # Program construction
 # ---------------------------------------------------------------------------
 
-_NON_DEFINITE = {";": "';'", "->": "'->'", "\\+": "'\\+'", "!": "'!'"}
+_NON_DEFINITE = {";", "->", "\\+", "!"}
 
 
 def _flatten_conj(term) -> list:
@@ -429,7 +432,7 @@ def parse_term(text: str, filename: str = "<string>"):
     term = parser.parse_term(1200)
     tok = parser._peek()
     if tok[0] != "eof":
-        parser._error(f"trailing input {tok[1]!r}", tok)
+        parser._error(f"trailing input {_shown(tok)}", tok)
     return term
 
 
@@ -499,7 +502,7 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
                     break
                 if conjunct.functor in _NON_DEFINITE and (
                         len(conjunct.args) in (0, 1, 2)):
-                    offender = _NON_DEFINITE[conjunct.functor]
+                    offender = _quoted(conjunct.functor)
                     break
                 body_atoms.append(_term_to_atom(conjunct))
         clauses = predicates.setdefault(head.pred, [])
@@ -524,6 +527,11 @@ _PLAIN_NAME_RE = re.compile(r"[a-z]\w*")
 _SPACED_OPS = {op for op, (prec, _) in _INFIX_OPS.items() if prec == 700}
 
 
+def _quoted(name: str) -> str:
+    """A name in quotes, each quote in it doubled."""
+    return "'" + name.replace("'", "''") + "'"
+
+
 def _render_name(name: str, arity: int) -> str:
     """A functor's name as the parser reads it back: bare when it is a
     plain name, ``[]`` or ``!`` alone or the prefix ``-`` of ``-(X)``, and
@@ -532,7 +540,7 @@ def _render_name(name: str, arity: int) -> str:
     if (_PLAIN_NAME_RE.fullmatch(name) or (arity == 0 and name in ("[]", "!"))
             or (arity == 1 and name == "-")):
         return name
-    return "'" + name.replace("'", "''") + "'"
+    return _quoted(name)
 
 
 def _close_list(term) -> str:

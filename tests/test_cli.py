@@ -10,8 +10,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logdup import (Atom, Limits, PredSymbol, Struct, build_sccs, closeness, parse_clause,
-                    parse_program, render_clause, scc_of)
+from logdup import (Atom, Limits, Num, PredSymbol, Struct, build_sccs, closeness,
+                    parse_clause, parse_program, parse_term, render_clause, scc_of)
 from logdup import cli, structure
 from logdup.cli import Config, build_arg_parser, main, run
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL
@@ -433,6 +433,33 @@ def test_report_writes_every_predicate_as_a_string(tmp_path):
         preds = (entry["left"]["predicates"] + entry["right"]["predicates"]
                  + list(entry["witness"]["arg_permutations"]))
         assert all(isinstance(p, str) and "/" in p for p in preds), preds
+
+
+NAMES = "''(X) :- X = a.\n'a b'(X) :- X = a.\n'/'(X) :- X = a.\n"
+
+
+def test_report_names_predicates_as_the_writer_quotes_them(tmp_path, capsys):
+    # written bare, these would print as /1, a b/1 and //1, which do not parse back
+    path = write(tmp_path, "names.pl", NAMES)
+    assert main([path, "--format", "json"]) == 0
+    pairs = json.loads(capsys.readouterr().out)["pairs"]
+    preds = [p for e in pairs for side in ("left", "right") for p in e[side]["predicates"]]
+    assert sorted(set(preds)) == ["''/1", "'/'/1", "'a b'/1"] and len(preds) == 6
+    assert {parse_term(p) for p in preds} == {
+        Struct("/", (Struct(name), Num(1))) for name in ("", "a b", "/")}
+    assert main([path]) == 0
+    assert capsys.readouterr().out.splitlines()[::2] == [
+        "duplicate: [''/1] ~ ['/'/1]", "duplicate: [''/1] ~ ['a b'/1]",
+        "duplicate: ['/'/1] ~ ['a b'/1]"]
+
+
+@pytest.mark.parametrize("name", list(LIMIT_FLAGS))
+def test_a_limit_flag_below_one_is_a_usage_error(tmp_path, name):
+    path = write(tmp_path, "dup.pl", APPEND + CONCAT)
+    result = run_cli([path, LIMIT_FLAGS[name], "0"])
+    assert (result.returncode, result.stdout) == (2, "")
+    assert f"error: {name} must be at least 1, got 0" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 # No renaming of the two variables of rep_a's segment reaches its root

@@ -679,6 +679,18 @@ def test_witness_cap_counts_dead_combinations(cap_offset):
     assert result.witness.renamings == (((("Y", "Y"),),) * 2)
 
 
+@pytest.mark.parametrize("field", ["exact_vars", "exact_group", "arity", "witness_cap"])
+def test_a_limit_below_one_is_refused(field):
+    # a zero witness cap read no combination, so duplicates had no witness
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1, got {value}"):
+            Limits(**{field: value})
+    s1 = scc_named(APPEND, "append", 3)
+    s2 = scc_named(APPEND.replace("append", "app"), "app", 3)
+    result = closeness(s1, s2, Limits(**{field: 1}))
+    assert result is not None and result.closeness == (Fraction(1), Fraction(1))
+
+
 def _ring(prefix: str, n: int) -> str:
     """One SCC of n members, each calling the next."""
     return "".join(f"{prefix}{k}(X) :- {prefix}{(k + 1) % n}(X).\n" for k in range(n))

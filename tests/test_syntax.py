@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from logdup import (
     Atom, Clause, Goal, Num, PredSymbol, PrologSyntaxError, Struct, Var,
@@ -86,7 +86,7 @@ def test_deep_left_nested_chain_renders_back_to_its_source():
 @pytest.mark.parametrize("value", [1e20, 1e-7, -2.5e-10, 0.1, 123.0, -0.0, 1e300, 5e-324])
 def test_float_renders_positionally_and_parses_back(value):
     text = render_term(Num(value))
-    assert "e" not in text
+    assert "e" not in text and repr(Num(value)) == text
     assert parse_term(text) == Num(value)
 
 
@@ -97,6 +97,14 @@ def test_exponent_floats_parse_and_render_positionally():
     text = render_clause(clause)
     assert text == "p(X) :- X = 500.0, Y is -25.0*150000000000000000000.0, Y < 0.02."
     assert parse_clause(text) == clause
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(1e20)
+@example(-5e-324)
+def test_num_repr_parses_back(value):
+    # repr of a float such as 1e+20 is written positionally, as render_term does
+    assert parse_term(repr(Num(value))) == Num(value)
 
 
 def test_float_without_exponent_renders_as_before():
@@ -126,6 +134,14 @@ def test_pred_symbol_str_and_repr_are_name_slash_arity():
     assert (p.name, p.arity) == ("append", 3)
 
 
+@pytest.mark.parametrize("name, arity, text", [
+    ("", 1, "''/1"), ("a b", 1, "'a b'/1"), ("/", 1, "'/'/1"), ("-", 1, "'-'/1"),
+    ("it's", 0, "'it''s'/0"), ("[]", 2, "[]/2"), ("=", 2, "'='/2"), ("is", 2, "is/2"),
+])
+def test_pred_symbol_str_quotes_its_name_as_the_writer_does(name, arity, text):
+    assert str(PredSymbol(name, arity)) == text
+
+
 def test_builtin_preds_are_equality_and_the_arithmetic_builtins():
     goal = parse_goal("X = 1, Y is X, X < Y, X > Y, X =< Y, X >= Y, X =:= Y, X =\\= Y")
     assert {a.pred for a in goal.atoms} == BUILTIN_PREDS == ARITH_BUILTINS | {EQ}
@@ -137,6 +153,13 @@ def test_directive_skipped_with_warning():
     program = parse_program(":- module(m, []).\np(a).")
     assert any("directive" in w for w in program.warnings)
     assert PredSymbol("p", 1) in program.predicates
+
+
+def test_non_definite_warning_writes_its_construct_as_the_writer_does():
+    program = parse_program("p :- 1.0e20.\nq :- !.\nr(X) :- \\+ X.\ns :- a -> b.")
+    assert program.excluded == {PredSymbol(n, a) for n, a in (("p", 0), ("q", 0), ("r", 1), ("s", 0))}
+    constructs = [w.split("non-definite construct ")[1] for w in program.warnings]
+    assert constructs == ["100000000000000000000.0)", "'!')", "'\\+')", "'->')"]
 
 
 def test_disjunction_excludes_predicate():
@@ -184,6 +207,15 @@ def test_syntax_error_carries_location():
             parse_program(text, filename="ml.pl")
         assert (err.value.line, err.value.column) == (line, column), text
         assert str(err.value) == f"ml.pl:{line}:{column}: {message}"
+
+
+@pytest.mark.parametrize("text, column, shown", [
+    ("a 'b c'", 3, "\"'b c'\""), ("f(a) )", 6, "')'"), ("a b", 3, "'b'"), ("a '.'", 3, "\"'.'\""),
+])
+def test_trailing_input_is_shown_as_written(text, column, shown):
+    with pytest.raises(PrologSyntaxError) as info:
+        parse_term(text)
+    assert (info.value.column, info.value.message) == (column, f"trailing input {shown}")
 
 
 def test_an_overflowing_float_is_refused_at_its_number():
@@ -359,6 +391,11 @@ def _terms(depth=2):
         st.tuples(_names, st.lists(_terms(depth - 1), min_size=1, max_size=3))
         .map(lambda t: Struct(t[0], tuple(t[1]))),
     )
+
+
+@given(st.sampled_from(_ATOM_NAMES + _CONTROL_NAMES), st.integers(0, 12))
+def test_pred_symbol_str_parses_back_as_a_predicate_indicator(name, arity):
+    assert parse_term(str(PredSymbol(name, arity))) == Struct("/", (Struct(name), Num(arity)))
 
 
 @given(_terms())
