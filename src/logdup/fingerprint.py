@@ -1,6 +1,13 @@
 """Fingerprint abstraction: symbol-count prints for goals, clauses,
 predicates and SCCs, their greatest lower bounds, and the print-based
-candidate pre-filter."""
+candidate pre-filter.
+
+The pre-filter runs the cheap parts of a fingerprint first.  One walk
+over each SCC's clauses gives its bucket signature and its symbol sums;
+within a bucket, sorted by symbol total, a pair whose totals are too far
+apart, or whose shared symbols fall below the threshold, is dropped on
+those sums alone.  Only the pairs that pass get prints, each SCC's built
+once, and a print-level estimate."""
 
 from __future__ import annotations
 
@@ -98,9 +105,14 @@ def goalprint(goal: Goal) -> GoalPrint:
 def _count_symbols(goal: Goal) -> GoalPrint:
     """``goalprint``'s counting rule, for any goal: clauses compared
     without normalization keep compound call arguments."""
-    counts: dict = {}
+    return GoalPrint(tuple(sorted(_add_symbols(goal.atoms, {}).items())))
+
+
+def _add_symbols(atoms, counts: dict) -> dict:
+    """Add the symbols of ``atoms`` to ``counts``, by ``_count_symbols``'s
+    rule, and return it."""
     stack = []
-    for atom in goal.atoms:
+    for atom in atoms:
         # a symbol is its (name, arity) pair, as a functor's key is
         counts[atom.pred] = counts.get(atom.pred, 0) + 1
         stack.extend(atom.args)
@@ -111,7 +123,7 @@ def _count_symbols(goal: Goal) -> GoalPrint:
             key = (t.functor, len(t.args))
             counts[key] = counts.get(key, 0) + 1
             stack.extend(t.args)
-    return GoalPrint(tuple(sorted(counts.items())))
+    return counts
 
 
 def _segments_print(seg: ClauseSegments) -> ClausePrint:
@@ -181,12 +193,11 @@ def fp_closeness(a: SCCPrint, b: SCCPrint) -> Optional[tuple]:
     return (_ratio(g.total, a.total), _ratio(g.total, b.total))
 
 
-def _shared_symbols(a: SCCPrint, b: SCCPrint) -> int:
-    """The per-symbol minimum of the two prints' symbol sums, summed: an
-    upper bound of what ``fp_closeness(a, b)`` retains, since the glbs it
-    keeps are disjoint sub-multisets of each side's symbols."""
-    theirs = b.symbols
-    return sum(min(n, theirs[sym]) for sym, n in a.symbols.items() if sym in theirs)
+def _shared_symbols(ours: dict, theirs: dict) -> int:
+    """The per-symbol minimum of two symbol sums, summed.  Of two prints'
+    ``symbols`` it bounds what ``fp_closeness`` retains from above, since
+    the glbs it keeps are disjoint sub-multisets of each side's symbols."""
+    return sum(min(n, theirs[sym]) for sym, n in ours.items() if sym in theirs)
 
 
 def _ratio(kept: int, total: int) -> Fraction:
@@ -197,27 +208,41 @@ def _ratio(kept: int, total: int) -> Fraction:
 # Candidate pre-filter
 # ---------------------------------------------------------------------------
 
-def _shape_signature(scc: SCC):
-    """Per-predicate multiset of clause segment counts, as a canonical
-    sorted structure; equal signatures are necessary for a shared
-    recursive structure."""
-    per_pred = []
-    for pred in scc.members:
-        lengths = sorted(len(scc.segmented[i].segments) for i in scc.clause_indices[pred])
-        per_pred.append((pred.arity, tuple(lengths)))
-    return tuple(sorted(per_pred))
+def _signature_and_symbols(scc: SCC) -> tuple:
+    """One walk over the SCC's clauses: its bucket signature, and the
+    ``symbols`` of its print without building the print.
+
+    The signature is each predicate's arity and multiset of clause segment
+    counts, as a canonical sorted structure; equal signatures are
+    necessary for a shared recursive structure.  A clause has one segment
+    more than it has body atoms calling a member, and the other body atoms
+    are exactly its segments' atoms, whose symbols the sums count."""
+    members = scc.clause_indices
+    lengths: dict = {p: [] for p in scc.members}
+    counts: dict = {}
+    for clause in scc.clauses:
+        body = clause.body.atoms
+        own = [atom for atom in body if atom.pred not in members]
+        _add_symbols(own, counts)
+        lengths[clause.head.pred].append(1 + len(body) - len(own))
+    signature = tuple(sorted((p.arity, tuple(sorted(ns))) for p, ns in lengths.items()))
+    return signature, counts
 
 
 def candidate_pairs(program: Program, threshold) -> tuple:
     """Cheap pre-filter over a whole program, taken as given (normalize
     it first for the paper's prints).
 
-    Builds SCCs, buckets them by shape signature and emits pairs whose
-    estimate's smaller component reaches the threshold, best first.  A
-    pair whose ``_shared_symbols`` over either side's total is already
-    below the threshold is skipped without computing the estimate; the
-    bound is compared in integers, ``kept / total < num / den`` as
-    ``kept * den < num * total``.
+    Builds SCCs, buckets them by signature and emits pairs whose
+    estimate's smaller component reaches the threshold, best first.  An
+    estimate keeps at most ``_shared_symbols`` of the two SCCs, which is
+    at most the smaller total, and its smaller component is that over the
+    larger total.  So in a bucket sorted by total, the pairs of one SCC
+    with later ones stop at the first total out of reach, and a pair
+    whose shared symbols are out of reach is skipped; both bounds are
+    compared in integers, ``kept / total < num / den`` as
+    ``kept * den < num * total``.  Only then are the two SCCs' prints
+    built, each at most once per call, and estimated.
 
     Two SCCs of one bucket always have an estimate: a print glb is None
     only across segment counts, and a bucket's predicates and clauses
@@ -229,22 +254,28 @@ def candidate_pairs(program: Program, threshold) -> tuple:
     sccs = build_sccs(program)
     # SCCs are keyed by position: hashing one hashes every term in it
     buckets: dict = {}
-    prints = []
+    symbols = []
     for k, scc in enumerate(sccs):
-        prints.append(scc_print(scc))
-        buckets.setdefault(_shape_signature(scc), []).append(k)
+        signature, counts = _signature_and_symbols(scc)
+        symbols.append(counts)
+        buckets.setdefault(signature, []).append((sum(counts.values()), k))
 
+    prints: dict = {}
     results = []
     for group in buckets.values():
-        group = sorted(group, key=lambda k: sccs[k].name())
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                i, j = group[a], group[b]
-                kept = _shared_symbols(prints[i], prints[j]) * den
-                if kept < num * prints[i].total or kept < num * prints[j].total:
+        group.sort()
+        for a, (low, i) in enumerate(group):
+            for high, j in group[a + 1:]:
+                if low * den < num * high:
+                    break
+                if _shared_symbols(symbols[i], symbols[j]) * den < num * high:
                     continue
-                est = fp_closeness(prints[i], prints[j])
+                pair = (i, j) if sccs[i].name() < sccs[j].name() else (j, i)
+                for k in pair:
+                    if k not in prints:
+                        prints[k] = scc_print(sccs[k])
+                est = fp_closeness(prints[pair[0]], prints[pair[1]])
                 if min(est) >= threshold:
-                    results.append((sccs[i], sccs[j], est))
+                    results.append((sccs[pair[0]], sccs[pair[1]], est))
     results.sort(key=lambda t: (-min(t[2]), t[0].name(), t[1].name()))
     return tuple(results)

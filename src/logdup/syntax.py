@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import NamedTuple, Union
@@ -167,20 +168,32 @@ BUILTIN_PREDS = ARITH_BUILTINS | {EQ}
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# The ISO escapes of a quoted atom (ISO/IEC 13211-1, 6.4.2.1): a single
+# character after the backslash, or a hexadecimal or octal character code
+# closed by a backslash.  They differ in the character after the first
+# backslash, so a quoted atom is read in time linear in its length.
+_ESCAPE_TAIL = r"""(?:[\\'"`abfnrtv]|x[0-9a-fA-F]+\\|[0-7]+\\)"""
+_ESCAPE = r"\\" + _ESCAPE_TAIL
+_READ_ESCAPES = {"\\": "\\", "'": "'", '"': '"', "`": "`", "a": "\a", "b": "\b",
+                 "f": "\f", "n": "\n", "r": "\r", "t": "\t", "v": "\v"}
+_QUOTED_PART_RE = re.compile("''|" + _ESCAPE)
+
 # One match per token: the layout and comments before it are skipped
 # inside the match, and a '.' followed by layout, a comment or the end of
 # the text is a clause end.  ``eof`` matches only after the last token,
-# ``unclosed`` at a '/*' without '*/' and ``bad`` at any other character,
+# ``unclosed`` at a '/*' without '*/', ``escape`` at the first backslash of
+# a quoted atom that begins no escape, and ``bad`` at any other character,
 # so the layout prefix never backtracks.  ``1e5`` lacks a float's fraction.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?:\s|%[^\n]*|/\*[\s\S]*?\*/)*
     (?:
       (?P<end>\.(?=\s|%|/\*|\Z))
     | (?P<num>\d+(?:\.\d+(?:[eE][+-]?\d+)?)?)
     | (?P<name>[a-z]\w*)
     | (?P<var>[_A-Z]\w*)
-    | (?P<quoted>'(?:[^']|'')*')
+    | (?P<quoted>'(?:[^'\\]|''|{_ESCAPE})*')
+    | (?P<escape>'(?:[^'\\]|''|{_ESCAPE})*\\(?!{_ESCAPE_TAIL}))
     | (?P<unclosed>/\*)
     | (?P<punct>:-|=:=|=\\=|=<|>=|->|\\\+|[()\[\]|,;!=<>+\-*/.])
     | (?P<eof>\Z)
@@ -218,10 +231,14 @@ def _tokenize(text: str, filename: str) -> list:
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "quoted":
-            tokens.append(["name", m.group(kind)[1:-1].replace("''", "'"), m.start(kind)])
+            tokens.append(["name", _unquote(text, m.start(kind), m.end(kind), filename),
+                           m.start(kind)])
         elif kind == "eof":
             tokens.append(["eof", "", tokens[-1][2] if tokens else 0])
             break
+        elif kind == "escape":
+            raise PrologSyntaxError("undefined escape", *_location(text, m.end(kind) - 1),
+                                    filename)
         elif kind == "unclosed" or kind == "bad":
             offset = m.start(kind)
             message = ("unterminated block comment" if kind == "unclosed"
@@ -230,6 +247,23 @@ def _tokenize(text: str, filename: str) -> list:
         else:
             tokens.append([kind, m.group(kind), m.start(kind)])
     return tokens
+
+
+def _unquote(text: str, start: int, end: int, filename: str) -> str:
+    """The name of the quoted atom ``text[start:end]``: a doubled quote is
+    one quote and an escape is its character.  A character code past the
+    last Unicode code point is an ``undefined escape``."""
+    def part(m):
+        seq = m.group()
+        if len(seq) == 2:  # '' as well as \' is a quote
+            return _READ_ESCAPES[seq[1]]
+        code = int(seq[2:-1], 16) if seq[1] == "x" else int(seq[1:-1], 8)
+        if code > sys.maxunicode:
+            offset = start + 1 + m.start()
+            raise PrologSyntaxError("undefined escape", *_location(text, offset), filename)
+        return chr(code)
+
+    return _QUOTED_PART_RE.sub(part, text[start + 1:end - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +561,24 @@ _PLAIN_NAME_RE = re.compile(r"[a-z]\w*")
 _SPACED_OPS = {op for op, (prec, _) in _INFIX_OPS.items() if prec == 700}
 
 
+# the reader's escapes of control characters, a doubled quote and \\
+_WRITE_ESCAPES = {"'": "''", "\\": "\\\\",
+                  **{ch: "\\" + letter for letter, ch in _READ_ESCAPES.items()
+                     if not ch.isprintable()}}
+
+
 def _quoted(name: str) -> str:
-    """A name in quotes, each quote in it doubled."""
-    return "'" + name.replace("'", "''") + "'"
+    """A name in quotes as the reader takes it back."""
+    return "'" + "".join(map(_quoted_char, name)) + "'"
+
+
+def _quoted_char(ch: str) -> str:
+    """A character as a quoted name writes it: a quote doubled, a
+    backslash and the control characters as their escapes, and any other
+    character that is not printable as its hexadecimal code."""
+    if ch in _WRITE_ESCAPES:
+        return _WRITE_ESCAPES[ch]
+    return ch if ch.isprintable() else f"\\x{ord(ch):X}\\"
 
 
 def _render_name(name: str, arity: int) -> str:

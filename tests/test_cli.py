@@ -453,6 +453,19 @@ def test_report_names_predicates_as_the_writer_quotes_them(tmp_path, capsys):
         "duplicate: ['/'/1] ~ ['a b'/1]"]
 
 
+def test_a_name_with_a_line_break_is_one_predicate_on_one_report_line(tmp_path, capsys):
+    # '\n' in a quoted atom is ISO's line break, so both clauses define
+    # one predicate, which the report writes with the escape
+    path = write(tmp_path, "break.pl", "'a\\nb'(X) :- X = a.\n'a\nb'(X) :- X = b.\n"
+                                       "c(X) :- X = a.\nc(X) :- X = b.\n")
+    assert main([path]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "duplicate: ['a\\nb'/1] ~ [c/1]"
+    assert main([path, "--format", "json"]) == 0
+    (pair,) = json.loads(capsys.readouterr().out)["pairs"]
+    assert pair["left"]["predicates"] == ["'a\\nb'/1"]
+    assert parse_term(pair["left"]["predicates"][0]) == Struct("/", (Struct("a\nb"), Num(1)))
+
+
 @pytest.mark.parametrize("name", list(LIMIT_FLAGS))
 def test_a_limit_flag_below_one_is_a_usage_error(tmp_path, name):
     path = write(tmp_path, "dup.pl", APPEND + CONCAT)

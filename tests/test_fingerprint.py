@@ -9,8 +9,9 @@ from logdup import (
     normalize_program, parse_goal, parse_program, predicate_print, print_glb,
     scc_print, scc_print_glb,
 )
+from logdup import fingerprint
 from logdup.depgraph import build_sccs, scc_of
-from logdup.fingerprint import _shape_signature, _shared_symbols
+from logdup.fingerprint import _shared_symbols, _signature_and_symbols
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL, scc_named
 from tests.test_acceptance import FIXTURE, _scale_corpus
 
@@ -201,7 +202,7 @@ def test_symbol_bound_is_at_least_the_estimate(shape, data):
     b = _scc_print_of_shape(data, shape)
     glb = scc_print_glb(a, b)
     if glb is not None:
-        assert _shared_symbols(a, b) >= glb.total
+        assert _shared_symbols(a.symbols, b.symbols) >= glb.total
 
 
 @given(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -215,13 +216,55 @@ def test_same_bucket_prints_have_an_estimate(shape, data):
     assert fp_closeness(a, b) is not None
 
 
+def _segmented_signature(scc):
+    """The bucket signature read off ``SCC.segmented``: each predicate's
+    arity and sorted clause segment counts."""
+    return tuple(sorted(
+        (pred.arity, tuple(sorted(len(scc.segmented[i].segments)
+                                  for i in scc.clause_indices[pred])))
+        for pred in scc.members))
+
+
+_args = st.recursive(
+    st.sampled_from(["X", "Y", "Z", "a", "[]", "1"]),
+    lambda inner: st.one_of(st.builds("f({},{})".format, inner, inner),
+                            st.builds("[{}|{}]".format, inner, inner)),
+    max_leaves=4)
+_calls = st.one_of(
+    st.builds("{}({})".format, st.sampled_from(["p", "q", "r", "s"]),
+              st.lists(_args, min_size=1, max_size=2).map(",".join)),
+    st.builds("{} = {}".format, _args, _args),
+    st.builds("{} is {} + 1".format, st.sampled_from(["X", "Y"]), _args))
+_clauses = st.builds(
+    "{}{}.".format,
+    st.builds("{}({})".format, st.sampled_from(["p", "q", "r"]),
+              st.lists(_args, min_size=1, max_size=2).map(",".join)),
+    st.lists(_calls, max_size=4).map(lambda body: " :- " + ", ".join(body) if body else ""))
+# p, q and r at arity 1 and 2 calling each other: self-loops, mutual
+# recursion, calls to the undefined s and builtins
+_program_texts = st.lists(_clauses, min_size=1, max_size=6).map("\n".join)
+
+
+@given(_program_texts, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_one_walk_equals_the_print_derived_values(text, normalize):
+    program = parse_program(text)
+    if normalize:
+        program = normalize_program(program)
+    for scc in build_sccs(program):
+        signature, symbols = _signature_and_symbols(scc)
+        assert signature == _segmented_signature(scc)
+        assert symbols == scc_print(scc).symbols
+
+
 def _ungated_candidate_pairs(program, thresholds):
     """Every same-bucket pair whose estimate reaches each threshold, in
-    the order ``candidate_pairs`` reports them, by SCC names."""
+    the order ``candidate_pairs`` reports them, by SCC names: the
+    reference that builds every SCC's print and skips no pair."""
     sccs = build_sccs(program)
     buckets: dict = {}
     for scc in sccs:
-        buckets.setdefault(_shape_signature(scc), []).append(scc)
+        buckets.setdefault(_segmented_signature(scc), []).append(scc)
     estimates = []
     for group in buckets.values():
         group = sorted(group, key=lambda scc: scc.name())
@@ -234,13 +277,57 @@ def _ungated_candidate_pairs(program, thresholds):
     return {t: [e for e in estimates if min(e[2]) >= t] for t in thresholds}
 
 
-@pytest.mark.parametrize("source", [CORPUS, FIXTURE, _scale_corpus()],
-                         ids=["corpus", "acceptance-fixture", "scale-corpus"])
-def test_gated_candidate_pairs_equal_ungated(source):
-    program = normalize_program(parse_program(source))
+# totals 2 and 4, all of the smaller shared: the estimate (1, 1/2) sits on
+# the edge of the window that candidate_pairs cuts each bucket to at 1/2
+EDGE = "e1(X) :- X = f(Y).\ne2(X) :- X = f(Y), Y = f(Z).\n"
+
+
+_SOURCES = {"corpus": CORPUS, "acceptance-fixture": FIXTURE, "scale-corpus": _scale_corpus(),
+            "edge": EDGE}
+
+
+@pytest.mark.parametrize("source, normalize", [
+    *((source, True) for source in _SOURCES.values()),
+    *((source, False) for source in _SOURCES.values())],
+    ids=[*_SOURCES, *(f"{name}-raw" for name in _SOURCES)])
+def test_gated_candidate_pairs_equal_ungated(source, normalize):
+    program = parse_program(source)
+    if normalize:
+        program = normalize_program(program)
     thresholds = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     expected = _ungated_candidate_pairs(program, thresholds)
     for threshold in thresholds:
         gated = [(l.name(), r.name(), est)
                  for l, r, est in candidate_pairs(program, threshold)]
         assert gated == expected[threshold]
+
+
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+def test_a_pair_on_the_window_edge_is_reported(normalize):
+    program = parse_program(EDGE)
+    if normalize:
+        program = normalize_program(program)
+    pairs = [(l.name(), r.name(), est) for l, r, est in candidate_pairs(program, Fraction(1, 2))]
+    assert pairs == [("[e1/1]", "[e2/1]", (Fraction(1), Fraction(1, 2)))]
+
+
+def test_prints_are_built_only_for_pairs_past_the_gate(monkeypatch):
+    program = normalize_program(parse_program(CORPUS))
+    sccs = build_sccs(program)
+    walks = {scc.name(): _signature_and_symbols(scc) for scc in sccs}
+    # at threshold 1 a pair passes when it shares every symbol of both sides
+    passed = {name for a, (sig_a, sums_a) in walks.items() for b, (sig_b, sums_b) in walks.items()
+              if a != b and sig_a == sig_b
+              and _shared_symbols(sums_a, sums_b) == sum(sums_a.values()) == sum(sums_b.values())
+              for name in (a, b)}
+    built = []
+
+    def counting(scc):
+        built.append(scc.name())
+        return scc_print(scc)
+
+    monkeypatch.setattr(fingerprint, "scc_print", counting)
+    assert [(l.name(), r.name()) for l, r, _ in candidate_pairs(program, Fraction(1))] == [
+        ("[append/3]", "[concat/3]")]
+    assert sorted(built) == sorted(passed) == ["[append/3]", "[concat/3]"]
+    assert len(sccs) > len(built)

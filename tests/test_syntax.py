@@ -159,7 +159,7 @@ def test_non_definite_warning_writes_its_construct_as_the_writer_does():
     program = parse_program("p :- 1.0e20.\nq :- !.\nr(X) :- \\+ X.\ns :- a -> b.")
     assert program.excluded == {PredSymbol(n, a) for n, a in (("p", 0), ("q", 0), ("r", 1), ("s", 0))}
     constructs = [w.split("non-definite construct ")[1] for w in program.warnings]
-    assert constructs == ["100000000000000000000.0)", "'!')", "'\\+')", "'->')"]
+    assert constructs == ["100000000000000000000.0)", "'!')", "'\\\\+')", "'->')"]
 
 
 def test_disjunction_excludes_predicate():
@@ -198,7 +198,35 @@ SYNTAX_ERRORS = [
     ("p(a).\nq(X) :- X = 1.0e400, g(X).", (2, 13), "float overflow"),
     ("p(X) :- X = " + "1" * (sys.get_int_max_str_digits() + 1) + ".", (1, 13),
      "integer too long"),
+    # a backslash in a quoted atom begins one of the ISO escapes; a
+    # character code must be closed by a backslash and name a character
+    ("p('a\\qb').", (1, 5), "undefined escape"),
+    ("p('ok\\n',\n  'a\\\n').", (2, 5), "undefined escape"),
+    ("p('\\x41').", (1, 4), "undefined escape"),
+    ("p('\\x4g\\').", (1, 4), "undefined escape"),
+    ("p('\\89\\').", (1, 4), "undefined escape"),
+    ("p('a\\x110000\\').", (1, 5), "undefined escape"),
 ]
+
+
+@pytest.mark.parametrize("text, name", [
+    ("'\\\\'", "\\"), ("'\\''", "'"), ("'\\\"'", '"'), ("'\\`'", "`"),
+    ("'\\a\\b\\f\\n\\r\\t\\v'", "\a\b\f\n\r\t\v"),
+    ("'\\x41\\\\x7e\\\\xE9\\'", "A~\u00e9"), ("'\\101\\\\0\\'", "A\0"),
+    ("'it''s \\'n\\' \\x1F600\\'", "it's 'n' \U0001F600"),
+])
+def test_quoted_atom_escapes_read_and_write_back(text, name):
+    assert parse_term(text) == Struct(name)
+    written = render_term(Struct(name))
+    assert parse_term(written) == Struct(name)
+    assert not any(ch < " " for ch in written)
+
+
+def test_an_escaped_and_a_raw_line_break_name_one_predicate():
+    program = parse_program("'a\\nb'(X) :- X = a.\n'a\nb'(X) :- X = b.")
+    pred = PredSymbol("a\nb", 1)
+    assert list(program.predicates) == [pred] and len(program.predicates[pred]) == 2
+    assert str(pred) == "'a\\nb'/1"
 
 
 def test_syntax_error_carries_location():
@@ -371,7 +399,7 @@ def test_var_names_first_occurrence_order():
 # a quoted atom can spell.
 _CONTROL_NAMES = [":-", ",", ";", "->", "!", "\\+"]
 _ATOM_NAMES = ["a", "b", "f", "g", "+", "-", "*", "/", "=", "is", "<", "=<", "[]", ".",
-               "|", "a b", "it's", "a\n", "Abc", ""]
+               "|", "a b", "it's", "a\n", "a\\b", "Abc", ""]
 _names = st.sampled_from(_ATOM_NAMES + _CONTROL_NAMES)
 # a body predicate the reader takes as an atom, not a control construct
 _pred_names = st.sampled_from(_ATOM_NAMES)
@@ -443,7 +471,7 @@ def test_operand_priority_is_the_writers(text, clash):
     ("X = '[]'(a)", "X = '[]'(a)"),
     ("Y = X / '*'", "Y = X/'*'"),
     ("X = '-'(a,b,c)", "X = '-'(a,b,c)"),
-    ("X = f('a\n')", "X = f('a\n')"),
+    ("X = f('a\n')", "X = f('a\\n')"),
     ("'-'(X), '[]'(Y)", "-(X), '[]'(Y)"),
 ])
 def test_operator_and_punctuation_names_are_quoted_and_parse_back(body, text):
