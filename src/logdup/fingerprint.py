@@ -2,6 +2,10 @@
 predicates and SCCs, their greatest lower bounds, and the print-based
 candidate pre-filter.
 
+A print's total adds up level by level: an SCC print's is the sum of its
+predicate prints', down to the goalprints' symbol counts.  No print keeps
+per-symbol sums; the pre-filter's one walk holds the only ones.
+
 The pre-filter runs the cheap parts of a fingerprint first.  One walk
 over each SCC's clauses gives its bucket signature and its symbol sums;
 within a bucket, sorted by symbol total, a pair whose totals are too far
@@ -13,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
-from .depgraph import SCC, ClauseSegments, build_sccs
+from .depgraph import SCC, build_sccs
 from .metrics import max_weight_matching
 from .normalize import is_normal_atom
 from .syntax import Goal, PredSymbol, Program, Struct
@@ -68,20 +71,9 @@ class PredicatePrint:
 class SCCPrint:
     prints: tuple  # canonically sorted tuple[PredicatePrint, ...] (a multiset)
 
-    @cached_property
-    def symbols(self) -> dict:
-        """The sum of every goalprint in the print, per symbol."""
-        counts: dict = {}
-        for pp in self.prints:
-            for cp in pp.prints:
-                for gp in cp.prints:
-                    for sym, n in gp.items:
-                        counts[sym] = counts.get(sym, 0) + n
-        return counts
-
     @property
     def total(self) -> int:
-        return sum(self.symbols.values())
+        return sum(p.total for p in self.prints)
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +118,13 @@ def _add_symbols(atoms, counts: dict) -> dict:
     return counts
 
 
-def _segments_print(seg: ClauseSegments) -> ClausePrint:
-    return ClausePrint(tuple(_count_symbols(q) for q in seg.segments))
-
-
 def _canonical_key(cp: ClausePrint):
     return (len(cp.prints), tuple(gp.items for gp in cp.prints))
 
 
 def predicate_print(pred: PredSymbol, scc: SCC) -> PredicatePrint:
-    cps = [_segments_print(scc.segmented[i]) for i in scc.clause_indices[pred]]
+    cps = [ClausePrint(tuple(_count_symbols(q) for q in scc.segmented[i].segments))
+           for i in scc.clause_indices[pred]]
     return PredicatePrint(tuple(sorted(cps, key=_canonical_key)))
 
 
@@ -152,35 +141,32 @@ def scc_print(scc: SCC) -> SCCPrint:
 # Greatest lower bounds
 # ---------------------------------------------------------------------------
 
-def _glb_matching(lefts, rights, glb) -> Optional[list]:
-    """Pair two print multisets of equal size so that the pairwise glbs
-    keep the most symbols; the glbs in left order, or None when the best
-    pairing needs a pair whose glb is None."""
-    if len(lefts) != len(rights):
+def _glb_matching(a, b, glb, key):
+    """Pair the members of two print multisets of equal size so that the
+    pairwise glbs keep the most symbols: a print of ``a``'s type holding
+    those glbs sorted by ``key``, or None when the sizes differ or the
+    best pairing needs a pair whose glb is None."""
+    if len(a.prints) != len(b.prints):
         return None
-    glbs = [[glb(left, right) for right in rights] for left in lefts]
+    glbs = [[glb(left, right) for right in b.prints] for left in a.prints]
     matching = max_weight_matching([[-1 if g is None else g.total for g in row]
                                     for row in glbs])
     if matching is None:
         return None
-    return [glbs[i][j] for i, j in matching]
+    return type(a)(tuple(sorted((glbs[i][j] for i, j in matching), key=key)))
 
 
 def print_glb(a: PredicatePrint, b: PredicatePrint) -> Optional[PredicatePrint]:
     """Greatest lower bound of two predicate prints, pairing clauseprints
     of equal segment count so that the retained symbol total is maximal;
     None when no such bijection exists."""
-    glbs = _glb_matching(a.prints, b.prints, ClausePrint.glb)
-    if glbs is None:
-        return None
-    return PredicatePrint(tuple(sorted(glbs, key=_canonical_key)))
+    return _glb_matching(a, b, ClausePrint.glb, _canonical_key)
 
 
 def scc_print_glb(a: SCCPrint, b: SCCPrint) -> Optional[SCCPrint]:
-    glbs = _glb_matching(a.prints, b.prints, print_glb)
-    if glbs is None:
-        return None
-    return SCCPrint(tuple(sorted(glbs, key=_pp_key)))
+    # print_glb is looked up at each call, so a wrapper set on the module
+    # global sees every predicate-level glb
+    return _glb_matching(a, b, print_glb, _pp_key)
 
 
 def fp_closeness(a: SCCPrint, b: SCCPrint) -> Optional[tuple]:
@@ -194,9 +180,10 @@ def fp_closeness(a: SCCPrint, b: SCCPrint) -> Optional[tuple]:
 
 
 def _shared_symbols(ours: dict, theirs: dict) -> int:
-    """The per-symbol minimum of two symbol sums, summed.  Of two prints'
-    ``symbols`` it bounds what ``fp_closeness`` retains from above, since
-    the glbs it keeps are disjoint sub-multisets of each side's symbols."""
+    """The per-symbol minimum of two symbol sums, summed.  Of the sums of
+    two prints' goalprints it bounds what ``fp_closeness`` retains from
+    above, since the glbs it keeps are disjoint sub-multisets of each
+    side's symbols."""
     return sum(min(n, theirs[sym]) for sym, n in ours.items() if sym in theirs)
 
 
@@ -210,7 +197,7 @@ def _ratio(kept: int, total: int) -> Fraction:
 
 def _signature_and_symbols(scc: SCC) -> tuple:
     """One walk over the SCC's clauses: its bucket signature, and the
-    ``symbols`` of its print without building the print.
+    per-symbol sums of its print's goalprints without building the print.
 
     The signature is each predicate's arity and multiset of clause segment
     counts, as a canonical sorted structure; equal signatures are

@@ -63,7 +63,8 @@ def max_weight_matching(weights) -> list | None:
     row at a time.  Columns are scanned in the order scipy's
     ``linear_sum_assignment`` scans them and an equal-cost tie goes to
     an unassigned column, as there, so both pick the same matching among
-    equally heavy ones and witnesses do not depend on which one ran.
+    equally heavy ones; ``test_max_weight_matching_breaks_ties_as_scipy_does``
+    pins that choice, so witnesses stay as they were.
     """
     n = len(weights)
     u = [0] * n  # row and column potentials

@@ -494,7 +494,8 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
     Clauses using non-definite constructs (cut, negation, disjunction,
     if-then-else) cause the whole owning predicate to be excluded from
     analysis, with a warning naming the construct.  Top-level directives
-    are skipped with a warning.  Empty input yields an empty program.
+    are skipped unparsed, up to their clause end, with a warning.  Empty
+    input yields an empty program.
     """
     parser = _Parser(text, filename)
     predicates: dict = {}  # PredSymbol -> [Clause, ...], in order of first clause
@@ -507,18 +508,19 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
         first = parser._peek()
         line += text.count("\n", counted, first[2])
         counted = first[2]
-        directive = first[0] == "punct" and first[1] == ":-"
-        if directive:
-            parser._next()
+        if first[0] == "punct" and first[1] == ":-":
+            # read to the clause end unparsed: a directive may use prefix
+            # operators, such as dynamic, that this reader does not know
+            while parser._next()[0] != "end":
+                pass
+            warnings.append(f"{filename}:{line}: directive skipped")
+            continue
         parser.fresh_counter = 0
         try:
             term = parser.parse_term(1200)
         except RecursionError:
             parser._error("term nested too deeply", first)
         parser._expect(".", "end")
-        if directive:
-            warnings.append(f"{filename}:{line}: directive skipped")
-            continue
         origin = (filename, line)
         if isinstance(term, Struct) and term.functor == ":-" and len(term.args) == 2:
             head_term, body_term = term.args

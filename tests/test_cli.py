@@ -133,6 +133,14 @@ def test_partial_parse_failure_becomes_warning(tmp_path, capsys):
     assert len(report["pairs"]) == 1
 
 
+def test_a_dynamic_declaration_keeps_its_file(tmp_path, capsys):
+    path = write(tmp_path, "dyn.pl", ":- dynamic counter/1.\n" + APPEND + CONCAT)
+    assert main([path]) == 0
+    out = capsys.readouterr().out
+    assert f"warning: {path}:1: directive skipped" in out
+    assert "duplicate: [append/3] ~ [concat/3]" in out
+
+
 def test_deeply_nested_term_becomes_a_parse_warning(tmp_path, capsys):
     good = write(tmp_path, "good.pl", APPEND + CONCAT)
     deep = write(tmp_path, "deep.pl", "p(" + "f(" * 1000 + "a" + ")" * 1000 + ").\n")

@@ -11,7 +11,9 @@ from logdup import (
 )
 from logdup import fingerprint
 from logdup.depgraph import build_sccs, scc_of
-from logdup.fingerprint import _shared_symbols, _signature_and_symbols
+from logdup.fingerprint import (
+    _canonical_key, _pp_key, _shared_symbols, _signature_and_symbols,
+)
 from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL, scc_named
 from tests.test_acceptance import FIXTURE, _scale_corpus
 
@@ -169,14 +171,23 @@ def test_glb_conjecture_holds_on_aligned_pair():
 
 
 def test_glb_conjecture_counterexample_shape():
-    # symbols outside the maximal similarly structured pair can survive in
-    # the glb but not in the generalization
-    q1 = parse_goal("p(X), X = a")
-    q2 = parse_goal("p(Y)")
-    violation = check_glb_conjecture(q1, q2)
-    if violation is not None:
-        glb_print, gen_print = violation
-        assert glb_print != gen_print
+    # the generalization of p(X), X = a and p(Y) keeps p, as the glb does
+    assert check_glb_conjecture(parse_goal("p(X), X = a"), parse_goal("p(Y)")) is None
+    # a symbol shared outside any shared predicate survives in the glb but
+    # not in the generalization: both goals hold '+', under '=' and 'is'
+    assert check_glb_conjecture(parse_goal("X = Y + Z"), parse_goal("N is M + 1")) == (
+        GoalPrint(((("+", 2), 1),)), GoalPrint(()))
+
+
+def _symbol_sums(print_):
+    """The sum of every goalprint in an SCC print, per symbol."""
+    counts: dict = {}
+    for pp in print_.prints:
+        for cp in pp.prints:
+            for gp in cp.prints:
+                for sym, n in gp.items:
+                    counts[sym] = counts.get(sym, 0) + n
+    return counts
 
 
 _symbols = st.sampled_from([("=", 2), (".", 2), ("p", 1), ("q", 2), ("+", 2)])
@@ -202,7 +213,7 @@ def test_symbol_bound_is_at_least_the_estimate(shape, data):
     b = _scc_print_of_shape(data, shape)
     glb = scc_print_glb(a, b)
     if glb is not None:
-        assert _shared_symbols(a.symbols, b.symbols) >= glb.total
+        assert _shared_symbols(_symbol_sums(a), _symbol_sums(b)) >= glb.total
 
 
 @given(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -214,6 +225,25 @@ def test_same_bucket_prints_have_an_estimate(shape, data):
     other = [data.draw(st.permutations(clauses)) for clauses in data.draw(st.permutations(shape))]
     a, b = _scc_print_of_shape(data, shape), _scc_print_of_shape(data, other)
     assert fp_closeness(a, b) is not None
+
+
+@given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3),
+                min_size=1, max_size=2), st.data())
+@settings(max_examples=200, deadline=None)
+def test_multiset_glbs_are_idempotent_and_symmetric(shape, data):
+    a = _scc_print_of_shape(data, shape)
+    b = _scc_print_of_shape(data, shape)
+    # compared through g, which is canonical: the helper does not sort
+    g = scc_print_glb(a, a)
+    assert g.total == a.total
+    assert scc_print_glb(g, g) == g
+    assert all(print_glb(p, p) == p for p in g.prints)
+    ab = scc_print_glb(a, b)
+    assert ab.total == scc_print_glb(b, a).total <= min(a.total, b.total)
+    # a glb is canonical at both multiset levels, as scc_print is
+    assert list(ab.prints) == sorted(ab.prints, key=_pp_key)
+    assert all(list(p.prints) == sorted(p.prints, key=_canonical_key) for p in ab.prints)
+    assert fp_closeness(b, a) == fp_closeness(a, b)[::-1]
 
 
 def _segmented_signature(scc):
@@ -254,7 +284,20 @@ def test_one_walk_equals_the_print_derived_values(text, normalize):
     for scc in build_sccs(program):
         signature, symbols = _signature_and_symbols(scc)
         assert signature == _segmented_signature(scc)
-        assert symbols == scc_print(scc).symbols
+        print_ = scc_print(scc)
+        assert symbols == _symbol_sums(print_)
+        assert sum(symbols.values()) == print_.total
+
+
+@given(_program_texts, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_an_scc_print_is_its_own_glb(text, normalize):
+    program = parse_program(text)
+    if normalize:
+        program = normalize_program(program)
+    for scc in build_sccs(program):
+        print_ = scc_print(scc)
+        assert scc_print_glb(print_, print_) == print_
 
 
 def _ungated_candidate_pairs(program, thresholds):

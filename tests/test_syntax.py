@@ -150,9 +150,12 @@ def test_builtin_preds_are_equality_and_the_arithmetic_builtins():
 
 
 def test_directive_skipped_with_warning():
-    program = parse_program(":- module(m, []).\np(a).")
-    assert any("directive" in w for w in program.warnings)
-    assert PredSymbol("p", 1) in program.predicates
+    # prefix operator forms such as dynamic are skipped without being read
+    for directive in (":- module(m, []).", ":- dynamic(counter/1).", ":- dynamic counter/1.",
+                      ":- discontiguous p/1.", ":- initialization main.", ":- dynamic a/1, b/2."):
+        program = parse_program(f"{directive}\np(a).", filename="d.pl")
+        assert program.warnings == ("d.pl:1: directive skipped",), directive
+        assert PredSymbol("p", 1) in program.predicates
 
 
 def test_non_definite_warning_writes_its_construct_as_the_writer_does():
@@ -182,6 +185,8 @@ SYNTAX_ERRORS = [
     # reads like punctuation neither ends a clause nor closes or separates
     ("p(X) :- X = a.b.", (1, 14), "expected '.', found '.' followed by more text"),
     ("p(a ')' .", (1, 5), "expected ',' or ')', found \"')'\""),
+    # a skipped directive still needs its end
+    ("p(a).\n:- dynamic foo/1", (2, 16), "unexpected end of input"),
     ("p(a) '.' q(b).", (1, 6), "expected '.', found \"'.'\""),
     ("p([a ']' ]).", (1, 6), "expected ',', '|' or ']', found \"']'\""),
     ("p([a '|' T]).", (1, 6), "expected ',', '|' or ']', found \"'|'\""),
