@@ -23,8 +23,8 @@ from .oracle import (
     enumerate_renamings, msg, mutate_duplicate, shared_var_count,
 )
 from .structure import (
-    ArgPermutation, ClauseMapping, SimilarityResult, StructureWitness,
-    closeness, common_core, scc_similarity, self_similarity, validate_witness,
+    ArgPermutation, SimilarityResult, StructureWitness, closeness,
+    common_core, scc_similarity, self_similarity, validate_witness,
 )
 from .syntax import (
     Atom, Clause, Goal, Num, PredSymbol, Program, PrologSyntaxError, Struct,
@@ -39,7 +39,7 @@ __all__ = [
     "normalize_clause", "normalize_program",
     "SCC", "build_sccs", "scc_of",
     "candidate_pairs", "fp_closeness", "scc_print",
-    "ArgPermutation", "ClauseMapping", "Limits", "SimilarityResult", "StructureWitness",
+    "ArgPermutation", "Limits", "SimilarityResult", "StructureWitness",
     "closeness", "common_core", "scc_similarity", "self_similarity", "validate_witness",
     "GoalAlignment", "commonality", "goal_similarity", "strict_commonality",
 ]

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +33,6 @@ class Config:
     limits: Limits = Limits()
     normalize: bool = True
     emit_common_core: bool = False
-    format: str = "text"
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -107,7 +107,7 @@ def _witness_json(witness):
     return {
         "arg_permutations": {str(q): list(perm.mapping)
                              for q, perm in witness.arg_permutations},
-        "clause_mapping": [list(pair) for pair in witness.clause_mapping.pairs],
+        "clause_mapping": [list(pair) for pair in witness.pairs],
         "renamings": [{src: dst for src, dst in rho} for rho in witness.renamings],
     }
 
@@ -171,9 +171,15 @@ def run(config: Config):
     """Execute the pipeline; returns (exit code, report dict)."""
     programs = []
     failures = []
+    read = set()  # the real path of each file read, so a file named twice is read once
     for path in config.paths:
+        real = os.path.realpath(path)
+        if real in read:
+            continue
+        read.add(real)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            # utf-8-sig drops a leading byte-order mark
+            with open(path, "r", encoding="utf-8-sig") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             reason = exc.strerror if isinstance(exc, OSError) else exc
@@ -215,7 +221,6 @@ def main(argv=None) -> int:
         limits=limits,
         normalize=not args.no_normalize,
         emit_common_core=args.emit_common_core,
-        format=args.format,
     )
     # The pipeline builds acyclic terms and leaves no reference cycle, so
     # the cyclic collector would only rescan them; it is paused for the run.
@@ -228,7 +233,7 @@ def main(argv=None) -> int:
             gc.enable()
     if report is None:
         return code
-    if config.format == "json":
+    if args.format == "json":
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(_render_text(report["pairs"], report["warnings"]))

@@ -28,23 +28,15 @@ class ArgPermutation:
             out[self.mapping[i] - 1] = arg
         return tuple(out)
 
-    @staticmethod
-    def identity(n: int) -> "ArgPermutation":
-        return ArgPermutation(tuple(range(1, n + 1)))
-
-
-@dataclass(frozen=True)
-class ClauseMapping:
-    """Bijection between the clauses of two SCCs, as index pairs into
-    SCC.clauses, together with the induced predicate bijection."""
-
-    pairs: tuple  # tuple[(left index, right index), ...]
-    pred_map: tuple  # tuple[(PredSymbol, PredSymbol), ...]
-
 
 @dataclass(frozen=True)
 class StructureWitness:
-    clause_mapping: ClauseMapping
+    """A bijection between the clauses of two SCCs, as index pairs into
+    SCC.clauses, with the predicate bijection it induces, an argument
+    permutation per left predicate and a renaming per clause pair."""
+
+    pairs: tuple  # tuple[(left index, right index), ...]
+    pred_map: tuple  # tuple[(PredSymbol, PredSymbol), ...]
     arg_permutations: tuple  # tuple[(PredSymbol, ArgPermutation), ...]
     renamings: tuple  # per clause pair: sorted tuple[(from, to), ...]
 
@@ -131,10 +123,10 @@ def _pred_bijections(s1: SCC, s2: SCC, cap: int):
 
 def _perm_combos(members, arity: int, cap: int):
     """Argument permutation combinations from the first ``cap`` permutations
-    of each predicate; one above ``arity`` gets only the identity."""
+    of each predicate; one above ``arity`` gets only the first, the identity."""
     spaces = [[ArgPermutation(p)
-               for p in itertools.islice(itertools.permutations(range(1, q.arity + 1)), cap)]
-              if q.arity <= arity else [ArgPermutation.identity(q.arity)]
+               for p in itertools.islice(itertools.permutations(range(1, q.arity + 1)),
+                                         cap if q.arity <= arity else 1)]
               for q in members]
     for combo in itertools.product(*spaces):
         yield dict(zip(members, combo))
@@ -168,8 +160,8 @@ def _witness(s1: SCC, pred_map: dict, perms: dict, mapping):
     """The witness of a clause mapping given as (i, j, rho) triples sorted
     by i."""
     return StructureWitness(
-        ClauseMapping(tuple((i, j) for i, j, _ in mapping),
-                      tuple(sorted((q, pred_map[q]) for q in s1.members))),
+        tuple((i, j) for i, j, _ in mapping),
+        tuple(sorted((q, pred_map[q]) for q in s1.members)),
         tuple(sorted(perms.items())),
         tuple(tuple(sorted(rho.items())) for _, _, rho in mapping),
     )
@@ -180,9 +172,9 @@ def validate_witness(s1: SCC, s2: SCC, w: StructureWitness) -> bool:
     left clause onto the right ones under the witness's renaming of the
     pair, one that is injective; a variable the renaming leaves out maps
     to itself."""
-    pred_map = dict(w.clause_mapping.pred_map)
+    pred_map = dict(w.pred_map)
     perms = dict(w.arg_permutations)
-    for (i, j), renaming in zip(w.clause_mapping.pairs, w.renamings):
+    for (i, j), renaming in zip(w.pairs, w.renamings):
         table = _arg_table(s1.segmented[i], s2.segmented[j])
         if table is None or any(p not in pred_map or p not in perms for p, _, _ in table):
             return False
@@ -251,7 +243,7 @@ def scc_similarity(s1: SCC, s2: SCC, w: StructureWitness, limits: Limits = Limit
         raise ValueError("invalid structure witness")
     memo: dict = {}
     return sum(_clause_pair_score(s1.segmented[i], s2.segmented[j], limits, memo)[0]
-               for i, j in w.clause_mapping.pairs)
+               for i, j in w.pairs)
 
 
 def self_similarity(s: SCC) -> int:
@@ -333,12 +325,12 @@ def common_core(s1: SCC, s2: SCC, result: SimilarityResult) -> tuple:
     survive, anti-unified pairwise."""
     if result.approximate:
         raise ValueError("refusing to extract a common core from an approximate result")
-    pred_map = dict(result.witness.clause_mapping.pred_map)
+    pred_map = dict(result.witness.pred_map)
     fresh = {pred_map[q]: PredSymbol(f"core_{q.name}_{pred_map[q].name}", q.arity)
              for q in s1.members}
 
     clauses = []
-    for (i, j), aligns in zip(result.witness.clause_mapping.pairs, result.segment_alignments):
+    for (i, j), aligns in zip(result.witness.pairs, result.segment_alignments):
         lseg, rseg = s1.segmented[i], s2.segmented[j]
         generalized: dict = {}
         body_atoms = []

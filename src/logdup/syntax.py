@@ -307,9 +307,6 @@ class _Parser:
         self.pos = 0
         self.fresh_counter = 0
 
-    def _peek(self):
-        return self.tokens[self.pos]
-
     def _next(self):
         tok = self.tokens[self.pos]
         if tok[0] == "eof":
@@ -331,9 +328,14 @@ class _Parser:
     def _error(self, msg: str, tok: list):
         raise PrologSyntaxError(msg, *_location(self.text, tok[2]), self.filename)
 
-    def _fresh_var(self) -> Var:
-        self.fresh_counter += 1
-        return Var(f"_G{self.fresh_counter}")
+    def read_term(self):
+        """A term of priority up to 1200, or ``term nested too deeply`` at
+        its first token when it nests past Python's recursion limit."""
+        first = self.tokens[self.pos]
+        try:
+            return self.parse_term(1200)
+        except RecursionError:
+            self._error("term nested too deeply", first)
 
     def parse_term(self, maxprec: int):
         # the term read so far and its priority, 0 for any primary
@@ -371,10 +373,13 @@ class _Parser:
             nxt = self.tokens[self.pos]
             if nxt[1] == "(" and nxt[0] == "punct":
                 self.pos += 1
-                return Struct(value, tuple(self._arglist()))
+                return Struct(value, tuple(self._items((")",), "',' or ')'")[0]))
             return Struct(value)
         if kind == "var":
-            return self._fresh_var() if value == "_" else Var(value)
+            if value != "_":
+                return Var(value)
+            self.fresh_counter += 1
+            return Var(f"_G{self.fresh_counter}")
         if kind == "num":
             if "." not in value:
                 try:  # past Python's digit limit, which ``repr`` shares
@@ -416,9 +421,6 @@ class _Parser:
             if sep != ",":
                 self._error(f"expected {expected}, found {_shown(tok)}", tok)
             items.append(self.parse_term(999))
-
-    def _arglist(self) -> list:
-        return self._items((")",), "',' or ')'")[0]
 
     def _list(self):
         if self.tokens[self.pos][:2] == ["punct", "]"]:
@@ -463,8 +465,8 @@ def _term_to_atom(term) -> Atom:
 def parse_term(text: str, filename: str = "<string>"):
     """Parse a single term (no trailing '.')."""
     parser = _Parser(text, filename)
-    term = parser.parse_term(1200)
-    tok = parser._peek()
+    term = parser.read_term()
+    tok = parser.tokens[parser.pos]
     if tok[0] != "eof":
         parser._error(f"trailing input {_shown(tok)}", tok)
     return term
@@ -504,8 +506,8 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
     # the line of each clause's first token, counted on from the last one
     line, counted = 1, 0
 
-    while parser._peek()[0] != "eof":
-        first = parser._peek()
+    while parser.tokens[parser.pos][0] != "eof":
+        first = parser.tokens[parser.pos]
         line += text.count("\n", counted, first[2])
         counted = first[2]
         if first[0] == "punct" and first[1] == ":-":
@@ -516,10 +518,7 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
             warnings.append(f"{filename}:{line}: directive skipped")
             continue
         parser.fresh_counter = 0
-        try:
-            term = parser.parse_term(1200)
-        except RecursionError:
-            parser._error("term nested too deeply", first)
+        term = parser.read_term()
         parser._expect(".", "end")
         origin = (filename, line)
         if isinstance(term, Struct) and term.functor == ":-" and len(term.args) == 2:

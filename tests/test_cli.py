@@ -67,9 +67,9 @@ def test_json_schema_keys(tmp_path, capsys):
 
 
 def test_witness_replays_from_json(tmp_path, capsys):
-    from logdup import (ArgPermutation, ClauseMapping, PredSymbol,
-                        StructureWitness, build_sccs, normalize_program,
-                        parse_program, scc_of, validate_witness)
+    from logdup import (ArgPermutation, PredSymbol, StructureWitness,
+                        build_sccs, normalize_program, parse_program, scc_of,
+                        validate_witness)
 
     path = write(tmp_path, "dup.pl", APPEND + CONCAT)
     main([path, "--format", "json"])
@@ -85,12 +85,47 @@ def test_witness_replays_from_json(tmp_path, capsys):
                    ArgPermutation(tuple(v)))
                   for k, v in sorted(raw["arg_permutations"].items()))
     witness = StructureWitness(
-        ClauseMapping(tuple(tuple(p) for p in raw["clause_mapping"]),
-                      ((PredSymbol("append", 3), PredSymbol("concat", 3)),)),
+        tuple(tuple(p) for p in raw["clause_mapping"]),
+        ((PredSymbol("append", 3), PredSymbol("concat", 3)),),
         perms,
         tuple(tuple(sorted(r.items())) for r in raw["renamings"]),
     )
     assert validate_witness(left, right, witness)
+
+
+def test_multi_member_witness_replays_from_json(tmp_path, capsys):
+    from logdup import (ArgPermutation, StructureWitness, mutate_duplicate,
+                        normalize_program, scc_similarity, validate_witness)
+    from tests.test_structure import TWO_MEMBERS
+
+    ring = scc_of(build_sccs(parse_program(TWO_MEMBERS)), PredSymbol("tw_a", 2))
+    copy, _ = mutate_duplicate(ring, seed=3)
+    path = write(tmp_path, "rings.pl", TWO_MEMBERS + "".join(render_clause(c) + "\n"
+                                                             for c in copy.clauses))
+    assert main([path, "--format", "json"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["pairs"]
+    sccs = build_sccs(normalize_program(parse_program(Path(path).read_text(), filename=path)))
+
+    def pred(text):
+        name, arity = text.rsplit("/", 1)
+        return PredSymbol(name, int(arity))
+
+    left, right = (scc_of(sccs, pred(entry[side]["predicates"][0])) for side in ("left", "right"))
+    assert len(left.members) == len(right.members) == 2
+    raw = entry["witness"]
+    pairs = tuple(tuple(p) for p in raw["clause_mapping"])
+    # the predicate bijection is read off the heads of the mapped clauses
+    pred_map = tuple(sorted({left.clauses[i].head.pred: right.clauses[j].head.pred
+                             for i, j in pairs}.items()))
+    assert len(pred_map) == 2
+    witness = StructureWitness(
+        pairs, pred_map,
+        tuple(sorted((pred(k), ArgPermutation(tuple(v)))
+                     for k, v in raw["arg_permutations"].items())),
+        tuple(tuple(sorted(r.items())) for r in raw["renamings"]),
+    )
+    assert validate_witness(left, right, witness)
+    assert scc_similarity(left, right, witness) == entry["sigma"]
 
 
 def test_empty_corpus_exits_zero(capsys):
@@ -111,6 +146,26 @@ def test_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"logdup: cannot read {latin}: ")
     assert "in position 3" in captured.err
+
+
+def test_a_byte_order_mark_is_read(tmp_path, capsys):
+    path = tmp_path / "bom.pl"
+    path.write_text("\ufeffp(X) :- X = a.\nq(Y) :- Y = a.\n", encoding="utf-8")
+    assert main([str(path)]) == 0
+    assert "duplicate: [p/1] ~ [q/1]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("second", ["dup.pl", "./dup.pl"])
+def test_a_file_named_twice_is_read_once(tmp_path, monkeypatch, capsys, second):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "dup.pl", "p(X) :- X = a.\nq(Y) :- Y = a.\n")
+    assert main(["dup.pl"]) == 0
+    once = capsys.readouterr().out
+    assert main(["dup.pl", second]) == 0
+    out = capsys.readouterr().out
+    assert out == once
+    assert "sigma: 6 / 6 and 6" in out
+    assert "merged" not in out
 
 
 def test_invalid_threshold_rejected():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logdup import (
-    SCC, ArgPermutation, Atom, Clause, ClauseMapping, ClauseSegments, Goal, Limits,
+    SCC, ArgPermutation, Atom, Clause, ClauseSegments, Goal, Limits,
     PredSymbol, SimilarityResult, StructureWitness, Var, closeness, common_core,
     goal_similarity, normalize_program, parse_program,
     render_clause, scc_similarity, self_similarity, strict_commonality,
@@ -127,8 +127,7 @@ def test_witness_renaming_must_be_injective():
     source = "p(X,Y).\nq(Z,Z).\n"
     s1, s2 = scc_named(source, "p", 2), scc_named(source, "q", 2)
     p, q = PredSymbol("p", 2), PredSymbol("q", 2)
-    witness = StructureWitness(ClauseMapping(((0, 0),), ((p, q),)),
-                               ((p, ArgPermutation.identity(2)),),
+    witness = StructureWitness(((0, 0),), ((p, q),), ((p, ArgPermutation((1, 2))),),
                                ((("X", "Z"), ("Y", "Z")),))
     assert not validate_witness(s1, s2, witness)
     with pytest.raises(ValueError):
@@ -139,10 +138,9 @@ def test_witness_renaming_must_be_injective():
 def test_validate_witness_rejects_unmapped_predicates(append_scc, concat_scc):
     witness = next(find_structure_witnesses(append_scc, concat_scc))
     assert not validate_witness(append_scc, concat_scc, StructureWitness(
-        ClauseMapping(witness.clause_mapping.pairs, ()), witness.arg_permutations,
-        witness.renamings))
+        witness.pairs, (), witness.arg_permutations, witness.renamings))
     assert not validate_witness(append_scc, concat_scc, StructureWitness(
-        witness.clause_mapping, (), witness.renamings))
+        witness.pairs, witness.pred_map, (), witness.renamings))
 
 
 def test_common_core_of_normalized_pair_matches_map_skeleton():
@@ -345,13 +343,13 @@ def _reference_common_core(s1: SCC, s2: SCC, result: SimilarityResult) -> tuple:
     if result.approximate:
         raise ValueError("refusing to extract a common core from an approximate result")
     w = result.witness
-    pred_map = dict(w.clause_mapping.pred_map)
+    pred_map = dict(w.pred_map)
     perms = dict(w.arg_permutations)
     fresh = {pred_map[q]: PredSymbol(f"core_{q.name}_{pred_map[q].name}", q.arity)
              for q in s1.members}
 
     clauses = []
-    for idx, ((i, j), rho_items) in enumerate(zip(w.clause_mapping.pairs, w.renamings)):
+    for idx, ((i, j), rho_items) in enumerate(zip(w.pairs, w.renamings)):
         right = s2.clauses[j]
         lseg, rseg = s1.segmented[i], s2.segmented[j]
         aligns = result.segment_alignments[idx]
@@ -386,10 +384,10 @@ def _assert_witnesses_make_calls_identical(s1, s2):
     count = 0
     for w in find_structure_witnesses(s1, s2):
         count += 1
-        pred_map, perms = dict(w.clause_mapping.pred_map), dict(w.arg_permutations)
+        pred_map, perms = dict(w.pred_map), dict(w.arg_permutations)
         sigma = 0
         alignments = []
-        for (i, j), rho in zip(w.clause_mapping.pairs, w.renamings):
+        for (i, j), rho in zip(w.pairs, w.renamings):
             lseg, rseg = s1.segmented[i], s2.segmented[j]
             calls = _reference_call_score(lseg, rseg, pred_map, perms, dict(rho))
             assert calls == sum(sum(node_counts(a)) for a in (rseg.head,) + rseg.recursive_calls)
@@ -518,12 +516,12 @@ def _perm_combos(members, arity_limit: int):
     for q in members:
         n = q.arity
         if n <= 1:
-            spaces.append([ArgPermutation.identity(n)])
+            spaces.append([ArgPermutation(tuple(range(1, n + 1)))])
         elif n <= arity_limit:
             spaces.append([ArgPermutation(p)
                            for p in itertools.permutations(range(1, n + 1))])
         else:
-            spaces.append([ArgPermutation.identity(n)])
+            spaces.append([ArgPermutation(tuple(range(1, n + 1)))])
             approximate = True
     for combo in itertools.product(*spaces):
         yield dict(zip(members, combo)), approximate
@@ -675,7 +673,7 @@ def test_witness_cap_counts_dead_combinations(cap_offset):
     assert result.closeness == ((Fraction(10, 17),) * 2 if truncated else (Fraction(1),) * 2)
     assert result.witness.arg_permutations == (
         (PredSymbol("sw", 3), ArgPermutation((1, 2, 3) if truncated else (3, 2, 1))),)
-    assert result.witness.clause_mapping.pairs == (((0, 1), (1, 0)) if truncated else ((0, 0), (1, 1)))
+    assert result.witness.pairs == (((0, 1), (1, 0)) if truncated else ((0, 0), (1, 1)))
     assert result.witness.renamings == (((("Y", "Y"),),) * 2)
 
 

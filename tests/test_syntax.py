@@ -251,6 +251,14 @@ def test_trailing_input_is_shown_as_written(text, column, shown):
     assert (info.value.column, info.value.message) == (column, f"trailing input {shown}")
 
 
+@pytest.mark.parametrize("parse", [parse_term, parse_goal])
+def test_a_too_deep_term_is_a_syntax_error_at_its_first_token(parse):
+    with pytest.raises(PrologSyntaxError) as info:
+        parse("f(" * 3000 + "a" + ")" * 3000)
+    assert (info.value.line, info.value.column, info.value.message) == (
+        1, 1, "term nested too deeply")
+
+
 def test_an_overflowing_float_is_refused_at_its_number():
     for text, column in (("X = 1.0e400", 5), ("X = -1.0e400", 6)):
         with pytest.raises(PrologSyntaxError, match="float overflow") as info:
