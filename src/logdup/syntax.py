@@ -6,6 +6,14 @@ operators ``:-``, ``,``, ``=``, ``is``, comparisons and arithmetic.
 Clauses containing cut, negation, disjunction or if-then-else make the
 whole owning predicate unusable for analysis; such predicates are skipped
 with a warning rather than rejected.
+
+The six term classes (``Var``, ``Num``, ``Struct``, ``Atom``, ``Goal``
+and ``Clause``) are plain classes with ``__slots__`` and no per-instance
+dict.  They are immutable by convention: no code assigns to a field once
+a term is built, and a slot refuses any new attribute.  ``Num`` tells an
+integer from a float, ``Struct`` and ``Atom`` compare and hash by
+``shape``, and each other term equals only a term of its own class with
+equal fields and hashes as the tuple of its fields.
 """
 
 from __future__ import annotations
@@ -33,21 +41,37 @@ class PrologSyntaxError(Exception):
 # Term model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Var:
-    name: str
+    """A variable, named as written.  Like every term class, immutable by
+    convention (see the module docstring)."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is Var:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class Num:
     """Numeric constant.  Counts as a leaf node but carries no symbol.
     An integer and a float are different constants, as ``1 = 1.0`` fails
-    in Prolog, so equality and hashing tell them apart."""
+    in Prolog, so equality and hashing tell them apart.  Immutable by
+    convention."""
 
-    value: Union[int, float]
+    __slots__ = ("value",)
+
+    def __init__(self, value: Union[int, float]):
+        self.value = value
 
     def __eq__(self, other):
         return (isinstance(other, Num) and type(self.value) is type(other.value)
@@ -60,14 +84,16 @@ class Num:
         return _render_num(self.value)
 
 
-@dataclass(frozen=True)
 class Struct:
     """Compound term; constants are 0-ary structs.  Equality and hashing
     go through ``shape``, which walks without recursion, so terms of any
-    depth compare and hash."""
+    depth compare and hash.  Immutable by convention."""
 
-    functor: str
-    args: tuple = ()
+    __slots__ = ("functor", "args")
+
+    def __init__(self, functor: str, args: tuple = ()):
+        self.functor = functor
+        self.args = args
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Struct) and shape(self) == shape(other))
@@ -97,17 +123,17 @@ class PredSymbol(NamedTuple):
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
 class Atom:
     """A predicate applied to its arguments; equality and hashing go
-    through ``shape``, as for ``Struct``."""
+    through ``shape``, as for ``Struct``.  Immutable by convention."""
 
-    pred: PredSymbol
-    args: tuple = ()
+    __slots__ = ("pred", "args")
 
-    def __post_init__(self):
-        if len(self.args) != self.pred.arity:
-            raise ValueError(f"arity mismatch for {self.pred}: got {len(self.args)} args")
+    def __init__(self, pred: PredSymbol, args: tuple = ()):
+        if len(args) != pred.arity:
+            raise ValueError(f"arity mismatch for {pred}: got {len(args)} args")
+        self.pred = pred
+        self.args = args
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Atom) and shape(self) == shape(other))
@@ -119,13 +145,24 @@ class Atom:
         return render_atom(self)
 
 
-@dataclass(frozen=True)
 class Goal:
     """Conjunction of atoms, kept in source order for rendering and
     normalization; the measures treat it as a multiset, but compare only
-    the first n occurrences of a predicate that the other goal has n of."""
+    the first n occurrences of a predicate that the other goal has n of.
+    Immutable by convention."""
 
-    atoms: tuple = ()
+    __slots__ = ("atoms",)
+
+    def __init__(self, atoms: tuple = ()):
+        self.atoms = atoms
+
+    def __eq__(self, other):
+        if other.__class__ is Goal:
+            return self.atoms == other.atoms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.atoms,))
 
     def __repr__(self):
         return ", ".join(render_atom(a) for a in self.atoms) or "true"
@@ -134,11 +171,24 @@ class Goal:
 EMPTY_GOAL = Goal(())
 
 
-@dataclass(frozen=True)
 class Clause:
-    head: Atom
-    body: Goal = EMPTY_GOAL
-    origin: tuple = ("<string>", 0)
+    """A head and a body goal, with the (file name, line) it was read at.
+    Immutable by convention."""
+
+    __slots__ = ("head", "body", "origin")
+
+    def __init__(self, head: Atom, body: Goal = EMPTY_GOAL, origin: tuple = ("<string>", 0)):
+        self.head = head
+        self.body = body
+        self.origin = origin
+
+    def __eq__(self, other):
+        if other.__class__ is Clause:
+            return (self.head, self.body, self.origin) == (other.head, other.body, other.origin)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.head, self.body, self.origin))
 
     def __repr__(self):
         return render_clause(self)
@@ -495,14 +545,16 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
 
     Clauses using non-definite constructs (cut, negation, disjunction,
     if-then-else) cause the whole owning predicate to be excluded from
-    analysis, with a warning naming the construct.  Top-level directives
+    analysis, with a warning naming the construct; so does a clause of a
+    builtin predicate (``BUILTIN_PREDS``), which the analysis would read
+    as a user predicate calling itself.  Top-level directives
     are skipped unparsed, up to their clause end, with a warning.  Empty
     input yields an empty program.
     """
     parser = _Parser(text, filename)
     predicates: dict = {}  # PredSymbol -> [Clause, ...], in order of first clause
     warnings: list = []
-    tainted: dict = {}  # PredSymbol -> reason
+    tainted: dict = {}  # PredSymbol -> (reason, origin of the first clause to give it)
     # the line of each clause's first token, counted on from the last one
     line, counted = 1, 0
 
@@ -528,28 +580,27 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
         if not isinstance(head_term, Struct) or head_term.functor in _NON_DEFINITE:
             parser._error("clause head must be an atom", first)
         head = _term_to_atom(head_term)
-        offender = None
+        reason = "redefines a builtin" if head.pred in BUILTIN_PREDS else None
         body_atoms = []
-        if body_term is not None:
+        if body_term is not None and reason is None:
             for conjunct in _flatten_conj(body_term):
                 if not isinstance(conjunct, Struct):
-                    offender = repr(conjunct)
+                    reason = f"non-definite construct {conjunct!r}"
                     break
                 if conjunct.functor in _NON_DEFINITE and (
                         len(conjunct.args) in (0, 1, 2)):
-                    offender = _quoted(conjunct.functor)
+                    reason = f"non-definite construct {_quoted(conjunct.functor)}"
                     break
                 body_atoms.append(_term_to_atom(conjunct))
         clauses = predicates.setdefault(head.pred, [])
-        if offender is not None:
-            tainted.setdefault(head.pred, (offender, origin))
+        if reason is not None:
+            tainted.setdefault(head.pred, (reason, origin))
             continue
         clauses.append(Clause(head, Goal(tuple(body_atoms)), origin))
 
-    for pred, (offender, origin) in tainted.items():
+    for pred, (reason, origin) in tainted.items():
         warnings.append(
-            f"{origin[0]}:{origin[1]}: predicate {pred} excluded from analysis "
-            f"(non-definite construct {offender})")
+            f"{origin[0]}:{origin[1]}: predicate {pred} excluded from analysis ({reason})")
     result = {pred: tuple(clauses) for pred, clauses in predicates.items() if pred not in tainted}
     return Program(result, tuple(warnings), frozenset(tainted))
 
@@ -683,13 +734,14 @@ def var_names(entity) -> list:
     stack = [entity]
     while stack:
         e = stack.pop()
-        if isinstance(e, Var):
-            seen.setdefault(e.name, None)
-        elif isinstance(e, (Struct, Atom)):
+        cls = type(e)
+        if cls is Var:
+            seen[e.name] = None
+        elif cls is Struct or cls is Atom:
             stack.extend(reversed(e.args))
-        elif isinstance(e, Goal):
+        elif cls is Goal:
             stack.extend(reversed(e.atoms))
-        elif isinstance(e, Clause):
+        elif cls is Clause:
             stack.extend((e.body, e.head))
     return list(seen)
 
@@ -766,18 +818,20 @@ def align(a, b) -> tuple:
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
-        if isinstance(x, Var) and isinstance(y, Var):
+        cls = type(x)
+        if cls is not type(y):
+            exact = False
+        elif cls is Var:
             pairs.append((x.name, y.name))
-        elif isinstance(x, Num) and x == y:
-            matched += 1
-        elif (isinstance(x, Struct) and isinstance(y, Struct)
-              and x.functor == y.functor and len(x.args) == len(y.args)):
+        elif cls is Struct and x.functor == y.functor and len(x.args) == len(y.args):
             matched += 1
             stack.extend(zip(reversed(x.args), reversed(y.args)))
-        elif isinstance(x, Atom) and isinstance(y, Atom) and x.pred == y.pred:
+        elif cls is Atom and x.pred == y.pred:
             matched += 1
             stack.extend(zip(reversed(x.args), reversed(y.args)))
-        elif isinstance(x, Goal) and isinstance(y, Goal) and len(x.atoms) == len(y.atoms):
+        elif cls is Num and x == y:
+            matched += 1
+        elif cls is Goal and len(x.atoms) == len(y.atoms):
             matched += max(len(x.atoms) - 1, 0)
             stack.extend(zip(reversed(x.atoms), reversed(y.atoms)))
         else:

@@ -239,6 +239,24 @@ def test_json_output_is_deterministic(tmp_path):
     assert first.stdout == second.stdout
 
 
+
+@pytest.mark.parametrize("source, warned, pair", [
+    ("'='(X,Y) :- X = Y, q(Y).\nq(a).\nr(X,Y) :- X = Y, s(Y).\nt(X,Y) :- X = Y, s(Y).\n",
+     ["'='/2"], ("r/2", "t/2")),
+    ("is(c,d).\n'<'(c,d).\np(a).\nq(a).\n", ["is/2", "'<'/2"], ("p/1", "q/1")),
+], ids=["eq-rule", "arith-facts"])
+def test_a_definition_of_a_builtin_is_not_compared(tmp_path, capsys, source, warned, pair):
+    path = write(tmp_path, "builtin.pl", source)
+    assert main([path, "--threshold", "0", "--fp-threshold", "0", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["warnings"] == [
+        f"{path}:{line}: predicate {name} excluded from analysis (redefines a builtin)"
+        for line, name in enumerate(warned, 1)]
+    # the other predicates are still compared, and no builtin is
+    assert [(*e["left"]["predicates"], *e["right"]["predicates"])
+            for e in report["pairs"]] == [pair]
+
+
 def test_skipped_predicate_warning_surfaces(tmp_path, capsys):
     path = write(tmp_path, "mixed.pl", "p(X) :- q(X) ; r(X).\n" + APPEND + CONCAT)
     main([path])

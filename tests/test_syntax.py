@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 
 import pytest
@@ -9,7 +11,7 @@ from logdup import (
     render_term,
 )
 from logdup.syntax import (
-    ARITH_BUILTINS, BUILTIN_PREDS, EQ, _tokenize, align, node_counts, rename_vars,
+    ARITH_BUILTINS, BUILTIN_PREDS, EMPTY_GOAL, EQ, _tokenize, align, node_counts, rename_vars,
     var_names,
 )
 
@@ -170,6 +172,22 @@ def test_disjunction_excludes_predicate():
     assert PredSymbol("p", 1) in program.excluded
     assert any("';'" in w for w in program.warnings)
     assert PredSymbol("s", 1) in program.predicates
+
+
+
+@pytest.mark.parametrize("text, builtins", [
+    ("'='(X,Y) :- X = Y, q(Y).\nq(a).", [("=", 1)]),
+    ("is(c,d).\n'<'(c,d) :- q(c).\nq(a).", [("is", 1), ("<", 2)]),
+], ids=["eq-rule", "arith-facts"])
+def test_a_definition_of_a_builtin_is_excluded(text, builtins):
+    # the analysis would read the builtin's own body atoms as recursive calls
+    program = parse_program(text, filename="b.pl")
+    assert program.excluded == {PredSymbol(name, 2) for name, _ in builtins}
+    assert set(program.excluded) <= BUILTIN_PREDS
+    assert program.warnings == tuple(
+        f"b.pl:{line}: predicate {PredSymbol(name, 2)} excluded from analysis "
+        f"(redefines a builtin)" for name, line in builtins)
+    assert [str(p) for p in program.predicates if p not in program.excluded] == ["q/1"]
 
 
 SYNTAX_ERRORS = [
@@ -492,3 +510,62 @@ def test_operator_and_punctuation_names_are_quoted_and_parse_back(body, text):
     rendered = render_clause(clause)
     assert rendered == f"p(X,Y) :- {text}."
     assert parse_clause(rendered) == clause
+
+
+_X = Var("X")
+_ATOM = Atom(PredSymbol("p", 2), (_X, Struct("f", (Num(1),))))
+_GOAL = Goal((_ATOM, Atom(EQ, (_X, Struct("a")))))
+# each term class with two equal instances built apart, an unequal one
+# and its repr
+TERMS = [
+    (Var("X"), Var("X"), Var("Y"), "X"),
+    (Num(1), Num(1), Num(2), "1"),
+    (Struct("f", (Var("X"), Num(1.5))), Struct("f", (Var("X"), Num(1.5))),
+     Struct("f", (Var("X"), Num(1))), "f(X,1.5)"),
+    (_ATOM, Atom(PredSymbol("p", 2), (Var("X"), Struct("f", (Num(1),)))),
+     Atom(PredSymbol("p", 2), (Var("Y"), Struct("f", (Num(1),)))), "p(X,f(1))"),
+    (_GOAL, Goal((_ATOM, Atom(EQ, (Var("X"), Struct("a"))))), Goal(_GOAL.atoms[:1]),
+     "p(X,f(1)), X = a"),
+    (Clause(_ATOM, _GOAL, ("a.pl", 3)), Clause(_ATOM, Goal(_GOAL.atoms), ("a.pl", 3)),
+     Clause(_ATOM, _GOAL, ("a.pl", 4)), "p(X,f(1)) :- p(X,f(1)), X = a."),
+]
+
+
+@pytest.mark.parametrize("term, same, other, text", TERMS,
+                         ids=[type(t[0]).__name__ for t in TERMS])
+def test_terms_keep_their_value_semantics(term, same, other, text):
+    assert term == same and not term != same and hash(term) == hash(same)
+    assert term != other and not term == other
+    assert repr(term) == text
+    assert copy.deepcopy(term) == term and pickle.loads(pickle.dumps(term)) == term
+    assert copy.copy(term) == term
+
+
+@pytest.mark.parametrize("term", [t[0] for t in TERMS], ids=[type(t[0]).__name__ for t in TERMS])
+def test_terms_are_slotted(term):
+    # no per-instance dict: a slot refuses a new attribute
+    assert not hasattr(term, "__dict__")
+    with pytest.raises(AttributeError):
+        term.extra = 1
+
+
+def test_terms_of_different_classes_differ():
+    assert Var("X") != Struct("X") and Struct("X") != Var("X")
+    assert not Var("X") == Struct("X") and not Struct("X") == Var("X")
+    assert Num(1) != Num(1.0) and Num(1) != Struct("1")
+    assert Goal(()) != Clause(Atom(PredSymbol("p", 0))) and Goal(()) != ()
+    assert Atom(PredSymbol("f", 1), (_X,)) != Struct("f", (_X,))
+
+
+def test_hashes_follow_the_field_tuples():
+    # set and dict orders, and with them the reports, follow these values
+    clause = Clause(_ATOM, _GOAL, ("a.pl", 3))
+    assert hash(Var("X")) == hash(("X",))
+    assert hash(_GOAL) == hash((_GOAL.atoms,))
+    assert hash(clause) == hash((_ATOM, _GOAL, ("a.pl", 3)))
+    assert Clause(_ATOM) == Clause(_ATOM, EMPTY_GOAL, ("<string>", 0))
+
+
+def test_atom_arity_mismatch_is_a_value_error():
+    with pytest.raises(ValueError, match=r"^arity mismatch for p/2: got 1 args$"):
+        Atom(PredSymbol("p", 2), (_X,))
