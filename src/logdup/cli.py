@@ -8,14 +8,13 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fingerprint import candidate_pairs
 from .normalize import normalize_program
 from .structure import closeness, common_core
 from .metrics import Limits
-from .syntax import PrologSyntaxError, Program, parse_program, render_clause
+from .syntax import PrologSyntaxError, Program, Record, parse_program, render_clause
 
 NODE_COUNTING_NOTE = (
     "Closeness denominators are per-definition self-similarity values, so a "
@@ -25,14 +24,22 @@ NODE_COUNTING_NOTE = (
 )
 
 
-@dataclass
-class Config:
-    paths: list = field(default_factory=list)
-    threshold: Fraction = Fraction(1, 2)
-    fp_threshold: Fraction = Fraction(1, 2)
-    limits: Limits = Limits()
-    normalize: bool = True
-    emit_common_core: bool = False
+class Config(Record):
+    """The settings of one run.  It holds a list, so it has no hash."""
+
+    __slots__ = _fields = ("paths", "threshold", "fp_threshold", "limits", "normalize",
+                           "emit_common_core")
+    __hash__ = None
+
+    def __init__(self, paths: list | None = None, threshold: Fraction = Fraction(1, 2),
+                 fp_threshold: Fraction = Fraction(1, 2), limits: Limits = Limits(),
+                 normalize: bool = True, emit_common_core: bool = False):
+        self.paths = [] if paths is None else paths  # a fresh list when not given
+        self.threshold = threshold
+        self.fp_threshold = fp_threshold
+        self.limits = limits
+        self.normalize = normalize
+        self.emit_common_core = emit_common_core
 
 
 def _fraction_arg(text: str) -> Fraction:

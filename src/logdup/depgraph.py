@@ -4,21 +4,23 @@ segmentation into non-recursive subgoals and recursive calls."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
-from .syntax import BUILTIN_PREDS, Atom, Clause, Goal, PredSymbol, Program, node_counts, shape
+from .syntax import (
+    BUILTIN_PREDS, Atom, Clause, Goal, PredSymbol, Program, Record, node_counts, shape)
 
 
-@dataclass(frozen=True)
-class SCC:
+class SCC(Record):
     """A strongly connected component of the predicate dependency graph."""
 
-    members: tuple  # sorted tuple[PredSymbol, ...]
-    clauses: tuple  # tuple[Clause, ...], grouped per member in program order
+    # No __slots__: cached_property keeps the derived values in the
+    # instance dict, outside ``_fields``, so equality, hashing and the
+    # repr are unaffected.
+    _fields = ("members", "clauses")
 
-    # Derived values are cached on the instance (outside the dataclass
-    # fields, so equality, hashing and copies by field are unaffected).
+    def __init__(self, members: tuple, clauses: tuple):
+        self.members = members  # sorted tuple[PredSymbol, ...]
+        self.clauses = clauses  # tuple[Clause, ...], grouped per member in program order
 
     @cached_property
     def clause_indices(self) -> dict:
@@ -41,15 +43,16 @@ class SCC:
         return "[" + ",".join(str(p) for p in self.members) + "]"
 
 
-@dataclass(frozen=True)
-class ClauseSegments:
+class ClauseSegments(Record):
     """Decomposition A0 <- Q1, A1, ..., Qk, Ak, Qk+1."""
 
-    head: Atom
-    segments: tuple  # tuple[Goal, ...], length k+1
-    recursive_calls: tuple  # tuple[Atom, ...], length k
+    # Derived values are cached in the instance dict, as on SCC.
+    _fields = ("head", "segments", "recursive_calls")
 
-    # Derived values are cached on the instance, as on SCC.
+    def __init__(self, head: Atom, segments: tuple, recursive_calls: tuple):
+        self.head = head
+        self.segments = segments  # tuple[Goal, ...], length k+1
+        self.recursive_calls = recursive_calls  # tuple[Atom, ...], length k
 
     @cached_property
     def matched_nodes(self) -> int:

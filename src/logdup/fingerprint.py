@@ -15,22 +15,22 @@ once, and a print-level estimate."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .depgraph import SCC, build_sccs
 from .metrics import max_weight_matching
 from .normalize import is_normal_atom
-from .syntax import Goal, PredSymbol, Program, Struct
+from .syntax import Goal, PredSymbol, Program, Record, Struct
 
 
-@dataclass(frozen=True)
-class GoalPrint:
+class GoalPrint(Record):
     """Finitely-supported symbol-count map; keys are (name, arity) pairs,
     zero counts are never stored."""
 
-    items: tuple = ()  # sorted tuple[((name, arity), count), ...]
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: tuple = ()):
+        self.items = items  # sorted tuple[((name, arity), count), ...]
 
     @property
     def total(self) -> int:
@@ -44,32 +44,38 @@ class GoalPrint:
         return GoalPrint(kept)
 
 
-@dataclass(frozen=True)
-class ClausePrint:
-    prints: tuple  # tuple[GoalPrint, ...], one per non-recursive segment
+class ClausePrint(Record):
+    __slots__ = _fields = ("prints",)
+
+    def __init__(self, prints: tuple):
+        self.prints = prints  # tuple[GoalPrint, ...], one per non-recursive segment
 
     @property
     def total(self) -> int:
         return sum(p.total for p in self.prints)
 
-    def glb(self, other: "ClausePrint") -> Optional["ClausePrint"]:
+    def glb(self, other: "ClausePrint") -> "ClausePrint | None":
         if len(self.prints) != len(other.prints):
             return None
         return ClausePrint(tuple(a.glb(b) for a, b in zip(self.prints, other.prints)))
 
 
-@dataclass(frozen=True)
-class PredicatePrint:
-    prints: tuple  # canonically sorted tuple[ClausePrint, ...] (a multiset)
+class PredicatePrint(Record):
+    __slots__ = _fields = ("prints",)
+
+    def __init__(self, prints: tuple):
+        self.prints = prints  # canonically sorted tuple[ClausePrint, ...] (a multiset)
 
     @property
     def total(self) -> int:
         return sum(p.total for p in self.prints)
 
 
-@dataclass(frozen=True)
-class SCCPrint:
-    prints: tuple  # canonically sorted tuple[PredicatePrint, ...] (a multiset)
+class SCCPrint(Record):
+    __slots__ = _fields = ("prints",)
+
+    def __init__(self, prints: tuple):
+        self.prints = prints  # canonically sorted tuple[PredicatePrint, ...] (a multiset)
 
     @property
     def total(self) -> int:
@@ -156,20 +162,20 @@ def _glb_matching(a, b, glb, key):
     return type(a)(tuple(sorted((glbs[i][j] for i, j in matching), key=key)))
 
 
-def print_glb(a: PredicatePrint, b: PredicatePrint) -> Optional[PredicatePrint]:
+def print_glb(a: PredicatePrint, b: PredicatePrint) -> PredicatePrint | None:
     """Greatest lower bound of two predicate prints, pairing clauseprints
     of equal segment count so that the retained symbol total is maximal;
     None when no such bijection exists."""
     return _glb_matching(a, b, ClausePrint.glb, _canonical_key)
 
 
-def scc_print_glb(a: SCCPrint, b: SCCPrint) -> Optional[SCCPrint]:
+def scc_print_glb(a: SCCPrint, b: SCCPrint) -> SCCPrint | None:
     # print_glb is looked up at each call, so a wrapper set on the module
     # global sees every predicate-level glb
     return _glb_matching(a, b, print_glb, _pp_key)
 
 
-def fp_closeness(a: SCCPrint, b: SCCPrint) -> Optional[tuple]:
+def fp_closeness(a: SCCPrint, b: SCCPrint) -> tuple | None:
     """Print-level estimate of closeness: retained over total symbol
     counts on each side.  Two all-empty prints estimate (1,1), the value
     exact comparison would reach on two bodiless duplicates."""

@@ -5,13 +5,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
-from .syntax import Goal, Num, Struct, Var, align, rename_vars, shape, var_names
+from .syntax import Goal, Num, Record, Struct, Var, align, rename_vars, shape, var_names
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(Record):
     """The bounds of the exact searches; a result cut by any of them is
     flagged approximate.  Commonality searches renamings exactly up to
     ``exact_vars`` variables and ``exact_group`` atoms of one predicate,
@@ -20,13 +18,16 @@ class Limits:
     examines at most ``witness_cap`` (predicate bijection x argument
     permutation) combinations per pair.  Each is at least 1."""
 
-    exact_vars: int = 8
-    exact_group: int = 6
-    arity: int = 6
-    witness_cap: int = 10000
+    __slots__ = _fields = ("exact_vars", "exact_group", "arity", "witness_cap")
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
+    def __init__(self, exact_vars: int = 8, exact_group: int = 6, arity: int = 6,
+                 witness_cap: int = 10000):
+        self.exact_vars = exact_vars
+        self.exact_group = exact_group
+        self.arity = arity
+        self.witness_cap = witness_cap
+        for name in self._fields:
+            value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
 
@@ -193,17 +194,20 @@ def maximal_similar_subgoals(q1: Goal, q2: Goal):
 # Commonality (Definition 4) via branch-and-bound over renamings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GoalAlignment:
+class GoalAlignment(Record):
     """Witness for a commonality/similarity value: ``renaming`` maps
     variables of the first goal onto the second goal's variables, and
     ``atom_pairing`` pairs atom indices of the first goal with indices of
     the second."""
 
-    renaming: tuple = ()  # sorted tuple[(from, to), ...]
-    atom_pairing: tuple = ()  # tuple[(i1, i2), ...]
-    value: int = 0
-    approximate: bool = False
+    __slots__ = _fields = ("renaming", "atom_pairing", "value", "approximate")
+
+    def __init__(self, renaming: tuple = (), atom_pairing: tuple = (), value: int = 0,
+                 approximate: bool = False):
+        self.renaming = renaming  # sorted tuple[(from, to), ...]
+        self.atom_pairing = atom_pairing  # tuple[(i1, i2), ...]
+        self.value = value
+        self.approximate = approximate
 
     def renamed_pairs(self, q1: Goal, q2: Goal) -> list:
         """(left atom, right atom) for each pair of ``atom_pairing``, the

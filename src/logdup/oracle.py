@@ -8,8 +8,6 @@ from __future__ import annotations
 import itertools
 import random
 import string
-from dataclasses import dataclass
-from typing import Optional
 
 from .depgraph import SCC
 from .fingerprint import goalprint
@@ -17,7 +15,7 @@ from .metrics import (
     Limits, anti_unify, goal_similarity, predicate_multiset, strict_commonality,
 )
 from .structure import ArgPermutation, _witness, _witness_combos
-from .syntax import Atom, Clause, Goal, PredSymbol, align, rename_vars, var_names
+from .syntax import Atom, Clause, Goal, PredSymbol, Record, align, rename_vars, var_names
 
 MAX_ORACLE_ATOMS = 5
 MAX_ORACLE_VARS = 5
@@ -70,11 +68,13 @@ def brute_force_commonality(q1: Goal, q2: Goal) -> int:
 # Most specific generalization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MsgResult:
-    generalization: object
-    subst1: dict  # generalization var name -> subterm of e1
-    subst2: dict
+class MsgResult(Record):
+    __slots__ = _fields = ("generalization", "subst1", "subst2")
+
+    def __init__(self, generalization, subst1: dict, subst2: dict):
+        self.generalization = generalization
+        self.subst1 = subst1  # generalization var name -> subterm of e1
+        self.subst2 = subst2
 
 
 def msg(e1, e2) -> MsgResult:
@@ -221,7 +221,7 @@ def mutate_duplicate(scc: SCC, seed: int) -> tuple:
 # Goalprint glb vs generalization check
 # ---------------------------------------------------------------------------
 
-def check_glb_conjecture(q1: Goal, q2: Goal) -> Optional[tuple]:
+def check_glb_conjecture(q1: Goal, q2: Goal) -> tuple | None:
     """Compare the pointwise glb of two goalprints against the print of
     the generalization of their best-aligned subgoals.
 

@@ -4,23 +4,23 @@ closeness, and extraction of the common-core generalization."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .depgraph import SCC, ClauseSegments
 from .metrics import Limits, anti_unify, goal_similarity, max_weight_matching
-from .syntax import Atom, Clause, Goal, PredSymbol, align
+from .syntax import Atom, Clause, Goal, PredSymbol, Record, align
 
 
-@dataclass(frozen=True)
-class ArgPermutation:
+class ArgPermutation(Record):
     """Bijection on argument positions: old position i moves to
     ``mapping[i-1]`` (1-based), matching the append/concat example where
     pi = {1->2, 2->3, 3->1} sends append's first argument to concat's
     second position."""
 
-    mapping: tuple  # tuple[int, ...], a permutation of 1..n
+    __slots__ = _fields = ("mapping",)
+
+    def __init__(self, mapping: tuple):
+        self.mapping = mapping  # tuple[int, ...], a permutation of 1..n
 
     def apply(self, args: tuple) -> tuple:
         out = [None] * len(args)
@@ -29,33 +29,41 @@ class ArgPermutation:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class StructureWitness:
+class StructureWitness(Record):
     """A bijection between the clauses of two SCCs, as index pairs into
     SCC.clauses, with the predicate bijection it induces, an argument
     permutation per left predicate and a renaming per clause pair."""
 
-    pairs: tuple  # tuple[(left index, right index), ...]
-    pred_map: tuple  # tuple[(PredSymbol, PredSymbol), ...]
-    arg_permutations: tuple  # tuple[(PredSymbol, ArgPermutation), ...]
-    renamings: tuple  # per clause pair: sorted tuple[(from, to), ...]
+    __slots__ = _fields = ("pairs", "pred_map", "arg_permutations", "renamings")
+
+    def __init__(self, pairs: tuple, pred_map: tuple, arg_permutations: tuple,
+                 renamings: tuple):
+        self.pairs = pairs  # tuple[(left index, right index), ...]
+        self.pred_map = pred_map  # tuple[(PredSymbol, PredSymbol), ...]
+        self.arg_permutations = arg_permutations  # tuple[(PredSymbol, ArgPermutation), ...]
+        self.renamings = renamings  # per clause pair: sorted tuple[(from, to), ...]
 
 
-@dataclass(frozen=True)
-class SimilarityResult:
-    sigma: int
-    closeness: tuple  # (Fraction, Fraction)
-    denominators: tuple  # (self-similarity of the left SCC, of the right)
-    witness: StructureWitness
-    segment_alignments: tuple  # per clause pair: tuple[GoalAlignment, ...]
-    approximate: bool = False
+class SimilarityResult(Record):
+    __slots__ = _fields = ("sigma", "closeness", "denominators", "witness",
+                           "segment_alignments", "approximate")
+
+    def __init__(self, sigma: int, closeness: tuple, denominators: tuple,
+                 witness: StructureWitness, segment_alignments: tuple,
+                 approximate: bool = False):
+        self.sigma = sigma
+        self.closeness = closeness  # (Fraction, Fraction)
+        self.denominators = denominators  # (self-similarity of the left SCC, of the right)
+        self.witness = witness
+        self.segment_alignments = segment_alignments  # per clause pair: tuple[GoalAlignment, ...]
+        self.approximate = approximate
 
 
 # ---------------------------------------------------------------------------
 # Witness machinery
 # ---------------------------------------------------------------------------
 
-def _arg_table(lseg: ClauseSegments, rseg: ClauseSegments) -> Optional[list]:
+def _arg_table(lseg: ClauseSegments, rseg: ClauseSegments) -> list | None:
     """Stage 1 of the witness search, shared by every combination: per
     head or recursive-call atom pair, the two predicates and, per (left
     position, right position), the ``align`` variable pairs of the two
@@ -70,7 +78,7 @@ def _arg_table(lseg: ClauseSegments, rseg: ClauseSegments) -> Optional[list]:
                               (rseg.head,) + rseg.recursive_calls)]
 
 
-def _table_rho(table: list, pred_map: dict, perms: dict) -> Optional[dict]:
+def _table_rho(table: list, pred_map: dict, perms: dict) -> dict | None:
     """Stage 2: the consistent, injective renaming under which pi maps
     the left head and recursive calls of a clause pair onto the right
     ones, read from the pair's argument table; None when there is none."""
@@ -88,7 +96,7 @@ def _table_rho(table: list, pred_map: dict, perms: dict) -> Optional[dict]:
     return rho if len(set(rho.values())) == len(rho) else None
 
 
-def _combo_rhos(options: list, pred_map: dict, perms: dict) -> Optional[dict]:
+def _combo_rhos(options: list, pred_map: dict, perms: dict) -> dict | None:
     """The renaming of each clause pair that a combination makes
     compatible, from ``options``: per left clause i, (i, [(j, argument
     table), ...]).  None as soon as a left clause has no compatible
@@ -255,7 +263,7 @@ def self_similarity(s: SCC) -> int:
 
 
 def closeness(s1: SCC, s2: SCC, limits: Limits = Limits(),
-              memo: Optional[dict] = None) -> Optional[SimilarityResult]:
+              memo: dict | None = None) -> SimilarityResult | None:
     """Closeness gamma: sigma maximized over witnesses, divided by each
     side's self-similarity.  None when no structure witness exists.
 

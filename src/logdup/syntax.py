@@ -13,7 +13,9 @@ dict.  They are immutable by convention: no code assigns to a field once
 a term is built, and a slot refuses any new attribute.  ``Num`` tells an
 integer from a float, ``Struct`` and ``Atom`` compare and hash by
 ``shape``, and each other term equals only a term of its own class with
-equal fields and hashes as the tuple of its fields.
+equal fields and hashes as the tuple of its fields.  The records
+(``Program`` here, and those of the other modules) are plain classes on
+``Record``, which gives them those rules for the fields they name.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from decimal import Decimal
-from typing import NamedTuple, Union
 
 
 class PrologSyntaxError(Exception):
@@ -38,8 +39,32 @@ class PrologSyntaxError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Term model
+# Records and the term model
 # ---------------------------------------------------------------------------
+
+class Record:
+    """The base of logdup's records.  A record class names its fields, in
+    order, in ``_fields``; a record equals only a record of its own class
+    with equal fields (``NotImplemented`` for any other class), hashes as
+    the tuple of its fields and is written ``Name(field=value, ...)``.
+    Records are immutable by convention, as the terms are."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (tuple([getattr(self, name) for name in self._fields])
+                    == tuple([getattr(other, name) for name in self._fields]))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
 
 class Var:
     """A variable, named as written.  Like every term class, immutable by
@@ -70,7 +95,7 @@ class Num:
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Union[int, float]):
+    def __init__(self, value: int | float):
         self.value = value
 
     def __eq__(self, other):
@@ -105,14 +130,14 @@ class Struct:
         return render_term(self)
 
 
-class PredSymbol(NamedTuple):
-    """A predicate name and arity, which is the pair ``(name, arity)``: it
-    equals, hashes and sorts (by name, then arity) like that tuple.  No
-    other tuple sits next to symbols but in the print symbol maps, where a
-    functor of one name and arity is meant to be the same key."""
+class PredSymbol(namedtuple("PredSymbol", "name arity")):
+    """A predicate name (a str) and arity (an int), which is the pair
+    ``(name, arity)``: it equals, hashes and sorts (by name, then arity)
+    like that tuple.  No other tuple sits next to symbols but in the print
+    symbol maps, where a functor of one name and arity is meant to be the
+    same key."""
 
-    name: str
-    arity: int
+    __slots__ = ()
 
     def __str__(self):
         """The predicate indicator, its name written as the functor of an
@@ -194,13 +219,19 @@ class Clause:
         return render_clause(self)
 
 
-@dataclass
-class Program:
-    """Predicate-indexed clause store.  Treated as immutable once built."""
+class Program(Record):
+    """Predicate-indexed clause store.  Treated as immutable once built,
+    but holds a dict, so it has no hash."""
 
-    predicates: dict = field(default_factory=dict)  # PredSymbol -> tuple[Clause, ...]
-    warnings: tuple = ()
-    excluded: frozenset = frozenset()
+    __slots__ = _fields = ("predicates", "warnings", "excluded")
+    __hash__ = None
+
+    def __init__(self, predicates: dict | None = None, warnings: tuple = (),
+                 excluded: frozenset = frozenset()):
+        # PredSymbol -> tuple[Clause, ...]; a fresh dict when not given
+        self.predicates = {} if predicates is None else predicates
+        self.warnings = warnings
+        self.excluded = excluded
 
 
 # Equality is the only non-arithmetic builtin the analysis knows about.
@@ -212,6 +243,10 @@ ARITH_BUILTINS = frozenset(
     PredSymbol(op, 2) for op in ("is", "<", ">", "=<", ">=", "=:=", "=\\="))
 
 BUILTIN_PREDS = ARITH_BUILTINS | {EQ}
+
+# ``true`` is the empty conjunction: the reader drops it from a body, and a
+# clause defining it is excluded as a clause of a builtin is.
+_TRUE = PredSymbol("true", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +582,8 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
     if-then-else) cause the whole owning predicate to be excluded from
     analysis, with a warning naming the construct; so does a clause of a
     builtin predicate (``BUILTIN_PREDS``), which the analysis would read
-    as a user predicate calling itself.  Top-level directives
+    as a user predicate calling itself, or of ``true``.  A ``true`` in a
+    body is the empty conjunction and is dropped.  Top-level directives
     are skipped unparsed, up to their clause end, with a warning.  Empty
     input yields an empty program.
     """
@@ -580,7 +616,8 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
         if not isinstance(head_term, Struct) or head_term.functor in _NON_DEFINITE:
             parser._error("clause head must be an atom", first)
         head = _term_to_atom(head_term)
-        reason = "redefines a builtin" if head.pred in BUILTIN_PREDS else None
+        reason = ("redefines a builtin" if head.pred in BUILTIN_PREDS or head.pred == _TRUE
+                  else None)
         body_atoms = []
         if body_term is not None and reason is None:
             for conjunct in _flatten_conj(body_term):
@@ -591,6 +628,8 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
                         len(conjunct.args) in (0, 1, 2)):
                     reason = f"non-definite construct {_quoted(conjunct.functor)}"
                     break
+                if conjunct.functor == "true" and not conjunct.args:
+                    continue
                 body_atoms.append(_term_to_atom(conjunct))
         clauses = predicates.setdefault(head.pred, [])
         if reason is not None:

@@ -1,8 +1,8 @@
 import gc
 import json
+import os
 import subprocess
 import sys
-from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -14,7 +14,9 @@ from logdup import (Atom, Limits, Num, PredSymbol, Struct, build_sccs, closeness
                     parse_clause, parse_program, parse_term, render_clause, scc_of)
 from logdup import cli, structure
 from logdup.cli import Config, build_arg_parser, main, run
-from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL
+from tests.conftest import (
+    ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL, assert_record_contract,
+)
 
 
 def write(tmp_path, name, text):
@@ -257,6 +259,23 @@ def test_a_definition_of_a_builtin_is_not_compared(tmp_path, capsys, source, war
             for e in report["pairs"]] == [pair]
 
 
+@pytest.mark.parametrize("source, warned", [
+    ("p(a) :- true.\nq(a).\n", []),
+    ("p(X) :- true, r(X).\nq(X) :- r(X).\n", []),
+    ("true :- a.\np(X) :- true, X = a.\nq(X) :- X = a.\n", ["true/0"]),
+], ids=["fact", "rule", "defined"])
+def test_true_in_a_body_is_the_empty_conjunction(tmp_path, capsys, source, warned):
+    path = write(tmp_path, "true.pl", source)
+    assert main([path, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["warnings"] == [
+        f"{path}:1: predicate {name} excluded from analysis (redefines a builtin)"
+        for name in warned]
+    (entry,) = report["pairs"]
+    assert (entry["left"]["predicates"], entry["right"]["predicates"]) == (["p/1"], ["q/1"])
+    assert entry["closeness"] == [1.0, 1.0]
+
+
 def test_skipped_predicate_warning_surfaces(tmp_path, capsys):
     path = write(tmp_path, "mixed.pl", "p(X) :- q(X) ; r(X).\n" + APPEND + CONCAT)
     main([path])
@@ -479,7 +498,7 @@ LIMIT_FLAGS = {"exact_vars": "--exact-vars-limit", "exact_group": "--exact-group
 def test_limit_flags_default_to_limits():
     args = vars(build_arg_parser().parse_args([]))
     assert {name: args[flag[2:].replace("-", "_")] for name, flag in LIMIT_FLAGS.items()} \
-        == asdict(Limits())
+        == {name: getattr(Limits(), name) for name in Limits._fields}
 
 
 def test_block_comments_and_exponent_floats_reach_the_core(tmp_path, capsys):
@@ -490,6 +509,18 @@ def test_block_comments_and_exponent_floats_reach_the_core(tmp_path, capsys):
     assert "duplicate: [p/1] ~ [q/1]" in out
     (core,) = [line.strip() for line in out.splitlines() if "150000000000000000000.0" in line]
     assert parse_clause(core).body == parse_clause("p(A) :- A = 1.5e20.").body
+
+
+def test_config_keeps_the_record_contract():
+    assert_record_contract(
+        Config(["a.pl"], Fraction(1, 3), Fraction(1, 4), Limits(1, 2, 3, 4), False, True),
+        "Config(paths=['a.pl'], threshold=Fraction(1, 3), fp_threshold=Fraction(1, 4), "
+        "limits=Limits(exact_vars=1, exact_group=2, arity=3, witness_cap=4), normalize=False, "
+        "emit_common_core=True)",
+        {"paths": [], "threshold": Fraction(1, 2), "fp_threshold": Fraction(1, 2),
+         "limits": Limits(), "normalize": True, "emit_common_core": False})
+    # each config left without paths gets a list of its own
+    assert Config().paths is not Config().paths
 
 
 def test_threshold_flags_default_to_config():
@@ -587,7 +618,7 @@ def test_each_limit_flag_reaches_its_layer(tmp_path, capsys, monkeypatch, name):
         return closeness(left, right, limits, memo)
 
     monkeypatch.setattr(cli, "closeness", recorded)
-    for extra, limits in (([], Limits()), ([LIMIT_FLAGS[name], "1"], replace(Limits(), **{name: 1}))):
+    for extra, limits in (([], Limits()), ([LIMIT_FLAGS[name], "1"], Limits(**{name: 1}))):
         approximate = bool(extra)
         assert main([path, "--format", "json", *extra]) == 0
         (entry,) = json.loads(capsys.readouterr().out)["pairs"]
@@ -706,9 +737,18 @@ def test_main_restores_the_cyclic_collector(tmp_path, capsys):
         gc.enable()
 
 
+START_UP_DENIED = ("numpy", "scipy", "dataclasses", "inspect", "typing")
+
+
 def test_cli_import_loads_no_numeric_libraries():
-    # numpy and scipy took most of a run's start-up time when they were imported
-    probe = "import sys, logdup.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    # numpy and scipy took most of a run's start-up time when they were
+    # imported; dataclasses, which loads inspect, and typing took a third of
+    # what remained.  -S keeps site and .pth files from loading any of them
+    # first; it also drops site-packages, so the directory that holds the
+    # package goes on the path
+    probe = f"import sys, logdup.cli; print(sorted(set({START_UP_DENIED!r}) & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                            env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"

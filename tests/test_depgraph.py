@@ -5,7 +5,35 @@ from logdup import (
     SCC, Atom, Clause, Goal, Num, PredSymbol, Program, Var, build_sccs,
     parse_program, scc_of, segment_clause,
 )
+from logdup.depgraph import ClauseSegments
 from logdup.syntax import BUILTIN_PREDS, EQ
+from tests.conftest import APPEND, assert_record_contract, scc_named
+
+
+P1 = PredSymbol("p", 1)
+FACT = Clause(Atom(P1, (Var("X"),)), Goal((Atom(PredSymbol("q", 1), (Var("X"),)),)), ("f.pl", 3))
+
+
+@pytest.mark.parametrize("record, text, defaults", [
+    (SCC((P1,), (FACT,)), "SCC(members=(p/1,), clauses=(p(X) :- q(X).,))", {}),
+    (ClauseSegments(FACT.head, (FACT.body, Goal()), (FACT.head,)),
+     "ClauseSegments(head=p(X), segments=(q(X), true), recursive_calls=(p(X),))", {}),
+], ids=["SCC", "ClauseSegments"])
+def test_depgraph_records_keep_their_contract(record, text, defaults):
+    assert_record_contract(record, text, defaults)
+
+
+def test_scc_caches_its_segments_outside_its_fields():
+    scc = scc_named(APPEND, "append", 3)
+    fresh = SCC(scc.members, scc.clauses)
+    segmented = scc.segmented
+    assert scc.segmented is segmented and "segmented" in vars(scc)
+    assert "segmented" not in vars(fresh)
+    # equal whether or not one of them has cached its derived values
+    assert scc == fresh and fresh == scc and hash(scc) == hash(fresh) == hash(
+        (scc.members, scc.clauses))
+    assert repr(scc) == repr(fresh)
+    assert fresh.segmented == segmented and fresh.segmented is not segmented
 
 
 def test_single_recursive_predicate_is_own_scc():

@@ -14,12 +14,37 @@ from logdup.depgraph import build_sccs, scc_of
 from logdup.fingerprint import (
     _canonical_key, _pp_key, _shared_symbols, _signature_and_symbols,
 )
-from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL, scc_named
+from tests.conftest import (
+    ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL, assert_record_contract, scc_named,
+)
 from tests.test_acceptance import FIXTURE, _scale_corpus
 
 
 def _print_of(source, name, arity):
     return scc_print(scc_named(source, name, arity, normalize=True))
+
+
+GP = GoalPrint(((("p", 1), 2), (("q", 2), 1)))
+GP_TEXT = "GoalPrint(items=((('p', 1), 2), (('q', 2), 1)))"
+CP = ClausePrint((GP, GoalPrint()))
+CP_TEXT = f"ClausePrint(prints=({GP_TEXT}, GoalPrint(items=())))"
+PP = PredicatePrint((CP,))
+PP_TEXT = f"PredicatePrint(prints=({CP_TEXT},))"
+
+
+@pytest.mark.parametrize("record, text, defaults", [
+    (GP, GP_TEXT, {"items": ()}),
+    (CP, CP_TEXT, {}),
+    (PP, PP_TEXT, {}),
+    (SCCPrint((PP, PP)), f"SCCPrint(prints=({PP_TEXT}, {PP_TEXT}))", {}),
+], ids=["GoalPrint", "ClausePrint", "PredicatePrint", "SCCPrint"])
+def test_print_records_keep_their_contract(record, text, defaults):
+    assert_record_contract(record, text, defaults)
+
+
+def test_prints_of_different_levels_differ():
+    assert GoalPrint(()) != ClausePrint(())
+    assert ClausePrint(()) != PredicatePrint(()) != SCCPrint(()) != ClausePrint(())
 
 
 def test_goalprint_worked_example():

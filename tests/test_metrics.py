@@ -13,9 +13,41 @@ from logdup import (
 from logdup import build_sccs, closeness, metrics, normalize_program, parse_program
 from logdup.metrics import _similar_groups, _WeightRows, max_weight_matching
 from logdup.syntax import align, node_counts, rename_vars, shape, var_names
+from tests.conftest import assert_record_contract
 
 Q1 = "p(f(X),g(Y,h(Z,a))), q(Z,X)"
 Q2 = "p(f(T),g(T,h(Z,b))), q(Z,T)"
+
+
+LIMIT_DEFAULTS = {"exact_vars": 8, "exact_group": 6, "arity": 6, "witness_cap": 10000}
+
+
+@pytest.mark.parametrize("record, text, defaults, changed", [
+    (Limits(1, 2, 3, 4), "Limits(exact_vars=1, exact_group=2, arity=3, witness_cap=4)",
+     LIMIT_DEFAULTS, dict.fromkeys(LIMIT_DEFAULTS, 5)),
+    (Limits(), "Limits(exact_vars=8, exact_group=6, arity=6, witness_cap=10000)",
+     LIMIT_DEFAULTS, dict.fromkeys(LIMIT_DEFAULTS, 5)),
+    (GoalAlignment((("X", "Y"),), ((0, 1),), 3, True),
+     "GoalAlignment(renaming=(('X', 'Y'),), atom_pairing=((0, 1),), value=3, approximate=True)",
+     {"renaming": (), "atom_pairing": (), "value": 0, "approximate": False}, None),
+], ids=["Limits", "Limits-defaults", "GoalAlignment"])
+def test_metrics_records_keep_their_contract(record, text, defaults, changed):
+    assert_record_contract(record, text, defaults, changed)
+
+
+@pytest.mark.parametrize("name", list(LIMIT_DEFAULTS))
+def test_limits_refuse_a_field_below_one(name):
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
+        Limits(**{name: 0})
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1, got -1$"):
+        Limits(**{name: -1})
+
+
+def test_limits_name_the_first_field_below_one():
+    with pytest.raises(ValueError, match="^exact_vars must be at least 1, got 0$"):
+        Limits(0, 0, 0, 0)
+    with pytest.raises(ValueError, match="^arity must be at least 1, got 0$"):
+        Limits(arity=0, witness_cap=-1)
 
 
 def test_nodes_of_variable_is_zero():

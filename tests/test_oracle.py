@@ -10,7 +10,14 @@ from logdup import (
 )
 from logdup.depgraph import segment_clause
 from logdup.syntax import node_counts
-from tests.conftest import scc_named
+from logdup.oracle import MsgResult
+from tests.conftest import assert_record_contract, scc_named
+
+
+def test_msg_result_keeps_the_record_contract():
+    assert_record_contract(
+        MsgResult(Struct("f", (Var("A"),)), {"A": Struct("a")}, {"A": Struct("b")}),
+        "MsgResult(generalization=f(A), subst1={'A': a}, subst2={'A': b})", {})
 
 
 def test_brute_force_worked_example():

@@ -15,13 +15,37 @@ from logdup import (
     render_clause, scc_similarity, self_similarity, strict_commonality,
     validate_witness,
 )
-from logdup import mutate_duplicate, structure
+from logdup import GoalAlignment, mutate_duplicate, structure
 from logdup.depgraph import build_sccs, scc_of
 from logdup.metrics import anti_unify
 from logdup.oracle import find_structure_witnesses
 from logdup.syntax import Num, Struct, align, node_counts, parse_goal, rename_vars, shape
-from tests.conftest import ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL, scc_named
+from tests.conftest import (
+    ADD1_AND_SQR, APPEND, CONCAT, CORPUS, REV_ALL, assert_record_contract, scc_named,
+)
 from tests.test_acceptance import FIXTURE, FIXTURE_PREDS, _scale_corpus
+
+
+P1, Q1 = PredSymbol("p", 1), PredSymbol("q", 1)
+WITNESS = StructureWitness(((0, 1),), ((P1, Q1),), ((P1, ArgPermutation((1,))),),
+                           ((("X", "Y"),),))
+WITNESS_TEXT = ("StructureWitness(pairs=((0, 1),), pred_map=((p/1, q/1),), "
+                "arg_permutations=((p/1, ArgPermutation(mapping=(1,))),), "
+                "renamings=((('X', 'Y'),),))")
+
+
+@pytest.mark.parametrize("record, text, defaults", [
+    (ArgPermutation((2, 3, 1)), "ArgPermutation(mapping=(2, 3, 1))", {}),
+    (WITNESS, WITNESS_TEXT, {}),
+    (SimilarityResult(7, (Fraction(7, 8), Fraction(1)), (8, 7), WITNESS,
+                      ((GoalAlignment(),),), True),
+     "SimilarityResult(sigma=7, closeness=(Fraction(7, 8), Fraction(1, 1)), "
+     f"denominators=(8, 7), witness={WITNESS_TEXT}, segment_alignments=((GoalAlignment("
+     "renaming=(), atom_pairing=(), value=0, approximate=False),),), approximate=True)",
+     {"approximate": False}),
+], ids=["ArgPermutation", "StructureWitness", "SimilarityResult"])
+def test_structure_records_keep_their_contract(record, text, defaults):
+    assert_record_contract(record, text, defaults)
 
 
 def test_arg_permutation_apply():

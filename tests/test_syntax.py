@@ -11,9 +11,10 @@ from logdup import (
     render_term,
 )
 from logdup.syntax import (
-    ARITH_BUILTINS, BUILTIN_PREDS, EMPTY_GOAL, EQ, _tokenize, align, node_counts, rename_vars,
-    var_names,
+    ARITH_BUILTINS, BUILTIN_PREDS, EMPTY_GOAL, EQ, Program, _tokenize, align, node_counts,
+    rename_vars, var_names,
 )
+from tests.conftest import assert_record_contract
 
 
 def test_parse_fact():
@@ -188,6 +189,23 @@ def test_a_definition_of_a_builtin_is_excluded(text, builtins):
         f"b.pl:{line}: predicate {PredSymbol(name, 2)} excluded from analysis "
         f"(redefines a builtin)" for name, line in builtins)
     assert [str(p) for p in program.predicates if p not in program.excluded] == ["q/1"]
+
+
+def test_program_keeps_the_record_contract():
+    clause = parse_clause("p(a).")
+    assert_record_contract(
+        Program({PredSymbol("p", 1): (clause,)}, ("w",), frozenset({PredSymbol("q", 2)})),
+        "Program(predicates={p/1: (p(a).,)}, warnings=('w',), excluded=frozenset({q/2}))",
+        {"predicates": {}, "warnings": (), "excluded": frozenset()})
+    # each program left without predicates gets a dict of its own
+    assert Program().predicates is not Program().predicates
+
+
+def test_true_in_a_body_is_dropped():
+    program = parse_program("p :- true.\nq(X) :- true, r(X), (true, true).\ns :- true(a).")
+    assert [c.body for cs in program.predicates.values() for c in cs] == [
+        EMPTY_GOAL, parse_goal("r(X)"), parse_goal("true(a)")]
+    assert not program.warnings
 
 
 SYNTAX_ERRORS = [
